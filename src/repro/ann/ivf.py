@@ -16,7 +16,11 @@ Performance notes mirroring the production systems this models:
   O(1) instead of an ``O(cell size)`` ``list.remove`` scan;
 * index rows are L2-normalized once at build time (float32 by default) and
   :meth:`search_batch` groups queries that probe the same cells into shared
-  sub-matrix products.
+  sub-matrix products;
+* each cell's ``(positions, ids, normalized rows)`` is cached as one contiguous
+  slab, so a query concatenates ``n_probe`` slabs instead of gathering its
+  candidates row by row — any write to a cell's rows or membership drops that
+  cell's slab, and ``‖c‖²`` of the centroids is cached with the centroids.
 """
 
 from __future__ import annotations
@@ -35,16 +39,24 @@ __all__ = ["IVFIndex", "kmeans", "DEFAULT_RETRAIN_THRESHOLD"]
 DEFAULT_RETRAIN_THRESHOLD = 3.0
 
 
-def _squared_distances(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    return np.einsum("nd,nd->n", rows, rows)
+
+
+def _squared_distances(
+    vectors: np.ndarray, centroids: np.ndarray, centroid_sq: Optional[np.ndarray] = None
+) -> np.ndarray:
     """``‖x − c‖²`` for every (vector, centroid) pair via the matmul identity.
 
     Avoids materializing the ``(N, K, D)`` difference tensor: one ``(N×D)·(D×K)``
-    product plus two squared-norm vectors.  Clipped at zero because the
-    identity can go slightly negative under floating-point cancellation.
+    product plus two squared-norm vectors (``centroid_sq`` is ``‖c‖²`` when the
+    caller has it cached).  Clipped at zero because the identity can go
+    slightly negative under floating-point cancellation.
     """
 
-    vector_sq = np.einsum("nd,nd->n", vectors, vectors)
-    centroid_sq = np.einsum("kd,kd->k", centroids, centroids)
+    vector_sq = _squared_norms(vectors)
+    if centroid_sq is None:
+        centroid_sq = _squared_norms(centroids)
     distances = vector_sq[:, None] - 2.0 * (vectors @ centroids.T) + centroid_sq[None, :]
     np.maximum(distances, 0.0, out=distances)
     return distances
@@ -123,8 +135,11 @@ class IVFIndex:
         self._normalized: Optional[np.ndarray] = None
         self._ids: Optional[np.ndarray] = None
         self._centroids: Optional[np.ndarray] = None
+        self._centroid_sq: Optional[np.ndarray] = None
         self._cells: Dict[int, Set[int]] = {}
-        self._cell_arrays: Dict[int, np.ndarray] = {}
+        #: cell -> (sorted member positions, their ids, their normalized rows),
+        #: built on first probe and dropped by any write to the cell.
+        self._cell_slabs: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._assignments: Optional[np.ndarray] = None
 
     @property
@@ -159,13 +174,21 @@ class IVFIndex:
         """(Re)run k-means over the current rows and rebuild the cell structures."""
 
         cells = min(self.num_cells, len(self._vectors))
-        self._centroids, self._assignments = kmeans(
+        centroids, assignments = kmeans(
             self._vectors, cells, num_iterations=num_iterations, rng=self._rng
         )
+        self._set_partition(centroids, assignments)
+
+    def _set_partition(self, centroids: np.ndarray, assignments: np.ndarray) -> None:
+        """Adopt a (centroids, assignments) pair: derive the cells, drop every slab."""
+
+        self._centroids = centroids
+        self._centroid_sq = _squared_norms(centroids)
+        self._assignments = assignments
         self._cells = {}
-        for position, cell in enumerate(self._assignments):
-            self._cells.setdefault(int(cell), set()).add(position)
-        self._cell_arrays = {}
+        for position, cell in enumerate(assignments.tolist()):
+            self._cells.setdefault(cell, set()).add(position)
+        self._cell_slabs = {}
 
     # ------------------------------------------------------------------ #
     # maintenance
@@ -227,9 +250,9 @@ class IVFIndex:
             other._normalized = self._normalized.copy()
             other._ids = self._ids.copy()
             other._centroids = self._centroids.copy()
+            other._centroid_sq = self._centroid_sq.copy()
             other._assignments = self._assignments.copy()
             other._cells = {cell: set(members) for cell, members in self._cells.items()}
-            other._cell_arrays = {}
         return other
 
     def snapshot_state(self) -> dict:
@@ -277,28 +300,30 @@ class IVFIndex:
         index._normalized = normalize_rows(vectors).astype(index.dtype, copy=False)
         index._ids = np.asarray(arrays["ids"], dtype=np.int64).copy()
         check_new_ids(None, index._ids)
-        index._centroids = np.asarray(arrays["centroids"], dtype=np.float64).copy()
-        index._assignments = np.asarray(arrays["assignments"], dtype=np.int64).copy()
-        index._cells = {}
-        for position, cell in enumerate(index._assignments):
-            index._cells.setdefault(int(cell), set()).add(position)
+        index._set_partition(
+            np.asarray(arrays["centroids"], dtype=np.float64).copy(),
+            np.asarray(arrays["assignments"], dtype=np.int64).copy(),
+        )
         index._rng.bit_generator.state = meta["rng_state"]
         index.epoch = int(meta["epoch"])
         return index
 
-    def _cell_positions(self, cell: int) -> np.ndarray:
-        """Sorted member positions of ``cell``, cached until the cell changes."""
+    def _cell_slab(self, cell: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(positions, ids, normalized rows)`` of ``cell`` in position order, cached.
 
-        cached = self._cell_arrays.get(cell)
-        if cached is None:
-            members = self._cells.get(cell)
-            cached = (
-                np.empty(0, dtype=np.int64)
-                if not members
-                else np.fromiter(sorted(members), dtype=np.int64, count=len(members))
-            )
-            self._cell_arrays[cell] = cached
-        return cached
+        The rows are a copy, so the cache is stale the moment a member row is
+        rewritten or the membership changes: every mutator drops the slabs of
+        the cells it writes to (``update_batch`` also when the row stays in
+        its cell), and a new partition drops them all.
+        """
+
+        slab = self._cell_slabs.get(cell)
+        if slab is None:
+            members = self._cells.get(cell, ())
+            positions = np.fromiter(sorted(members), dtype=np.int64, count=len(members))
+            slab = (positions, self._ids[positions], self._normalized[positions])
+            self._cell_slabs[cell] = slab
+        return slab
 
     def update(self, position: int, vector: np.ndarray) -> None:
         """Replace a vector and move it to its (possibly new) nearest cell."""
@@ -328,7 +353,7 @@ class IVFIndex:
             return
         if positions.min() < 0 or positions.max() >= len(self._vectors):
             raise ValueError("position out of range")
-        if len(np.unique(positions)) != len(positions):
+        if len(positions) > 1 and len(np.unique(positions)) != len(positions):
             # Keep only the last row per duplicated position (last write wins);
             # otherwise the cell-move loop below sees a stale old_cell on the
             # second occurrence and leaves the row a member of two cells.
@@ -338,17 +363,21 @@ class IVFIndex:
             vectors = vectors[keep]
         self._vectors[positions] = vectors
         self._normalized[positions] = normalize_rows(vectors).astype(self.dtype, copy=False)
-        distances = _squared_distances(np.asarray(vectors, dtype=np.float64), self._centroids)
+        distances = _squared_distances(
+            np.asarray(vectors, dtype=np.float64), self._centroids, self._centroid_sq
+        )
         new_cells = distances.argmin(axis=1)
         old_cells = self._assignments[positions]
-        for position, old_cell, new_cell in zip(positions, old_cells, new_cells):
-            if new_cell == old_cell:
-                continue
-            position, old_cell, new_cell = int(position), int(old_cell), int(new_cell)
-            self._cells[old_cell].discard(position)
-            self._cells.setdefault(new_cell, set()).add(position)
-            self._cell_arrays.pop(old_cell, None)
-            self._cell_arrays.pop(new_cell, None)
+        for position, old_cell, new_cell in zip(
+            positions.tolist(), old_cells.tolist(), new_cells.tolist()
+        ):
+            # The row itself changed, so its cell's slab is stale even when
+            # the row stays where it was.
+            self._cell_slabs.pop(old_cell, None)
+            if new_cell != old_cell:
+                self._cells[old_cell].discard(position)
+                self._cells.setdefault(new_cell, set()).add(position)
+                self._cell_slabs.pop(new_cell, None)
         self._assignments[positions] = new_cells
         self.epoch += 1
 
@@ -383,13 +412,12 @@ class IVFIndex:
         )
         self._ids = np.concatenate([self._ids, new_ids])
         cells = _squared_distances(
-            np.asarray(vectors, dtype=np.float64), self._centroids
+            np.asarray(vectors, dtype=np.float64), self._centroids, self._centroid_sq
         ).argmin(axis=1)
         self._assignments = np.concatenate([self._assignments, cells.astype(np.int64)])
-        for offset, cell in enumerate(cells):
-            cell = int(cell)
-            self._cells.setdefault(cell, set()).add(start + offset)
-            self._cell_arrays.pop(cell, None)
+        for position, cell in enumerate(cells.tolist(), start):
+            self._cells.setdefault(cell, set()).add(position)
+            self._cell_slabs.pop(cell, None)
         self.epoch += 1
         if self.retrain_threshold is not None and self.imbalance() > self.retrain_threshold:
             self.retrain()
@@ -419,8 +447,9 @@ class IVFIndex:
         """Batched probe-and-scan: queries probing the same cells share one matmul.
 
         Centroid assignment for all queries is a single distance matrix; the
-        per-cell-set groups then each score their candidates with one
-        ``(Q_group × D)·(D × candidates)`` product.
+        per-cell-set groups then each score their candidates — the probed
+        cells' cached slabs laid end to end, cells and positions ascending —
+        with one ``(Q_group × D)·(D × candidates)`` product.
         """
 
         if self._vectors is None:
@@ -435,27 +464,27 @@ class IVFIndex:
         if exclude_per_query is not None and len(exclude_per_query) != len(queries):
             raise ValueError("exclude_per_query must have one entry per query")
 
-        centroid_distances = _squared_distances(queries, self._centroids)
+        centroid_distances = _squared_distances(queries, self._centroids, self._centroid_sq)
         n_probe = min(self.n_probe, centroid_distances.shape[1])
         probe = np.argpartition(centroid_distances, kth=n_probe - 1, axis=1)[:, :n_probe]
+        probe.sort(axis=1)
 
         normalized_queries = normalize_rows(queries).astype(self.dtype, copy=False)
         results: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * len(queries)
 
         groups: Dict[Tuple[int, ...], List[int]] = {}
-        for row in range(len(queries)):
-            key = tuple(sorted(int(cell) for cell in probe[row]))
-            groups.setdefault(key, []).append(row)
+        for row, cells in enumerate(probe.tolist()):
+            groups.setdefault(tuple(cells), []).append(row)
 
         empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=self.dtype))
         for key, rows in groups.items():
-            candidate_positions = np.concatenate([self._cell_positions(cell) for cell in key])
-            if not len(candidate_positions):
+            slabs = [self._cell_slab(cell) for cell in key]
+            candidate_ids = np.concatenate([slab[1] for slab in slabs])
+            if not len(candidate_ids):
                 for row in rows:
                     results[row] = empty
                 continue
-            candidate_ids = self._ids[candidate_positions]
-            scores = normalized_queries[rows] @ self._normalized[candidate_positions].T
+            scores = normalized_queries[rows] @ np.concatenate([slab[2] for slab in slabs]).T
             if exclude_per_query is not None:
                 apply_exclusions(
                     scores, candidate_ids, [exclude_per_query[row] for row in rows]

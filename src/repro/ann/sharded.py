@@ -22,10 +22,9 @@ architecture in-process:
 
 Results are *bit-identical* to the unsharded backend: each candidate's score
 is the same query-row · index-row dot product regardless of which shard holds
-the row, per-shard results arrive sorted with ties in local (= global)
-position order, and the merge re-sorts by global position before the stable
-score sort — exactly the tie order of :func:`~repro.ann.brute_force.top_k_rows`
-on the unsharded score matrix.
+the row, and the merge orders the per-shard candidates by descending score
+with ties in ascending global position — exactly the tie order of
+:func:`~repro.ann.brute_force.top_k_rows` on the unsharded score matrix.
 """
 
 from __future__ import annotations
@@ -118,31 +117,27 @@ class ScatterGatherMixin:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Merge one query's per-shard top-k lists into the global top-k.
 
-        Candidates are first ordered by global position, then stably sorted by
-        descending score — reproducing the tie order an unsharded
-        ``top_k_rows`` call would have produced over the full score matrix.
+        One ordering pass by descending score.  Only candidates with *equal*
+        scores need their global positions looked up: an unsharded
+        ``top_k_rows`` over the full score matrix orders ties by ascending
+        position, while the concatenated lists hold them shard by shard.
         """
 
         ids = np.concatenate([partial[row][0] for partial in partials])
         scores = np.concatenate([partial[row][1] for partial in partials])
-        if not len(ids):
-            return ids, scores
-        # Each shard emits candidates in descending-score order with ties in
-        # ascending local-position order; interleave back to global-position
-        # order before the final stable score sort.
-        position_order = np.argsort(self._positions_of(ids), kind="stable")
-        ids = ids[position_order]
-        scores = scores[position_order]
-        top = np.argsort(-scores, kind="stable")[:k]
-        return ids[top], scores[top]
+        order = (-scores).argsort(kind="stable")
+        ranked = scores[order]
+        if (ranked[1:] == ranked[:-1]).any():
+            order = np.lexsort((self._positions_of(ids), -scores))
+            ranked = scores[order]
+        return ids[order[:k]], ranked[:k]
 
     def _positions_of(self, ids: np.ndarray) -> np.ndarray:
         """Global positions of ``ids`` (ids are unique by construction)."""
 
         if self._id_order is None:
             self._id_order = np.argsort(self._ids, kind="stable")
-        found = np.searchsorted(self._ids, ids, sorter=self._id_order)
-        return self._id_order[found]
+        return self._id_order[self._ids.searchsorted(ids, sorter=self._id_order)]
 
     def close(self) -> None:  # pragma: no cover — always overridden
         raise NotImplementedError
@@ -537,6 +532,17 @@ class ShardedIndex(ScatterGatherMixin):
     # ------------------------------------------------------------------ #
     # executor lifecycle
     # ------------------------------------------------------------------ #
+    def __getstate__(self) -> dict:
+        """State for ``copy``/``pickle`` without the thread pool (not copyable).
+
+        The copy starts with no executor and creates its own on its first
+        threaded search, like a freshly built index.
+        """
+
+        state = self.__dict__.copy()
+        state["_executor"] = None
+        return state
+
     def _get_executor(self) -> ThreadPoolExecutor:
         if self._executor is None:
             workers = min(self.num_threads or 1, self.num_shards)

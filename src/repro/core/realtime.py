@@ -497,6 +497,13 @@ class RealTimeServer:
         (:meth:`catch_up`) so a recovered server mutates its state through
         exactly the code the original server ran — the precondition for
         bit-identical recovery.
+
+        The closing neighbor search is the paper's Table III *identifying*
+        measurement — what finding ``N_u`` costs once the index holds the
+        fresh embedding — timed against the *inferring* step above.  Its
+        result is deliberately not stored: a neighbor list is only valid for
+        the index epoch it was computed at, and ``recommend`` searches (or
+        reads its epoch-keyed cache) against the index as it stands when asked.
         """
 
         touched: List[int] = []

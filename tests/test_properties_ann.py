@@ -7,10 +7,11 @@ sequences:
     id-for-id and bit-for-bit like the unsharded ``BruteForceIndex`` holding
     the same rows, under any interleaving of mutations;
 (b) ``top_k_rows`` output is sorted, finite, score-faithful and respects
-    exclusion masking;
+    exclusion masking, equals the stable-sort oracle on either side of its
+    full-sort/select cut, and the sharded merge reproduces it;
 (c) after any ``update_batch`` / ``add`` / ``retrain`` sequence every IVF row
     belongs to exactly one cell, assignments agree with cell membership, and
-    the ``_cell_arrays`` caches never go stale.
+    the cached cell slabs and centroid norms never go stale.
 
 Data comes from seeded ``np.random.default_rng`` draws (hypothesis supplies
 the seeds and shapes), so examples shrink deterministically without float
@@ -24,7 +25,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.ann import BruteForceIndex, IVFIndex, ShardedIndex, top_k_rows
-from repro.ann.brute_force import apply_exclusions
+from repro.ann.brute_force import _FULL_SORT_MAX_SCORES, apply_exclusions
+from repro.ann.metrics import normalize_rows
 
 
 # --------------------------------------------------------------------- #
@@ -200,6 +202,97 @@ def test_top_k_rows_sorted_finite_exclusion_respecting(
                 assert scores[row, omitted].max() <= result_scores[-1]
 
 
+def _stable_sort_oracle(row: np.ndarray, k: int, ids: np.ndarray):
+    """``top_k_rows``'s contract, literally: stable descending sort, first k, -inf dropped."""
+
+    order = np.argsort(-row, kind="stable")[:k]
+    order = order[np.isfinite(row[order])]
+    return ids[order], row[order]
+
+
+def _tied_scores(rng, num_queries: int, n: int, dtype) -> np.ndarray:
+    """Scores on a grid of five values (ties everywhere, also across the k-th place), some -inf."""
+
+    scores = rng.integers(-2, 3, size=(num_queries, n)).astype(dtype) / 4
+    scores[rng.random(size=scores.shape) < 0.15] = -np.inf
+    if num_queries > 1:
+        scores[-1] = -np.inf  # a row with nothing to return
+    return scores
+
+
+@given(
+    num_queries=st.integers(1, 5),
+    # widths that put Q * N on both sides of the cut for every Q drawn
+    n=st.one_of(st.integers(1, 60), st.integers(180, 420), st.integers(1000, 1100)),
+    k=st.one_of(st.integers(1, 12), st.integers(40, 60), st.integers(400, 1200)),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_top_k_rows_equals_stable_sort_oracle(num_queries, n, k, dtype, seed):
+    rng = np.random.default_rng(seed)
+    scores = _tied_scores(rng, num_queries, n, dtype)
+    ids = rng.permutation(3 * n)[:n].astype(np.int64)
+    results = top_k_rows(scores, k, ids)
+    assert len(results) == num_queries
+    for row, (result_ids, result_scores) in enumerate(results):
+        expected_ids, expected_scores = _stable_sort_oracle(scores[row], k, ids)
+        np.testing.assert_array_equal(result_ids, expected_ids)
+        np.testing.assert_array_equal(result_scores, expected_scores)
+        assert result_scores.dtype == scores.dtype and result_ids.dtype == np.int64
+
+
+def test_top_k_rows_oracle_shapes_straddle_the_cut():
+    """The property above is only worth its name if its shapes reach both branches."""
+
+    assert 5 * 60 <= _FULL_SORT_MAX_SCORES < 2 * 1000
+    rng = np.random.default_rng(0)
+    for n in (_FULL_SORT_MAX_SCORES, _FULL_SORT_MAX_SCORES + 1):  # one row either side
+        scores = _tied_scores(rng, 1, n, np.float32)
+        ids = np.arange(n, dtype=np.int64)[::-1].copy()
+        for k in (1, 50, n, n + 7):
+            (result_ids, result_scores), = top_k_rows(scores, k, ids)
+            expected_ids, expected_scores = _stable_sort_oracle(scores[0], k, ids)
+            np.testing.assert_array_equal(result_ids, expected_ids)
+            np.testing.assert_array_equal(result_scores, expected_scores)
+
+
+@given(
+    num_shards=st.integers(2, 5),
+    n=st.integers(5, 80),
+    k=st.integers(1, 30),
+    tied=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_merge_row_equals_unsharded_top_k_rows(num_shards, n, k, tied, seed):
+    """Per-shard ``top_k_rows`` lists merge into the unsharded ``top_k_rows`` answer.
+
+    With ``tied`` the scores tie within and across shards and, ids being a
+    permutation rather than ``arange``, the merge has to order those ties by
+    global *position* (an id sort would get it wrong); without, all scores
+    differ and no position is ever looked up.
+    """
+
+    rng = np.random.default_rng(seed)
+    scores = (
+        _tied_scores(rng, 3, n, np.float32)
+        if tied
+        else rng.permutation(3 * n).reshape(3, n).astype(np.float32)
+    )
+    ids = rng.permutation(4 * n)[:n].astype(np.int64)
+    index = ShardedIndex(num_shards=num_shards).build(rng.normal(size=(n, 2)), ids=ids)
+    partials = [
+        top_k_rows(scores[:, shard::num_shards], k, ids[shard::num_shards])
+        for shard in range(num_shards)
+        if shard < n
+    ]
+    for row, (expected_ids, expected_scores) in enumerate(top_k_rows(scores, k, ids)):
+        merged_ids, merged_scores = index._merge_row(partials, row, k)
+        np.testing.assert_array_equal(merged_ids, expected_ids)
+        np.testing.assert_array_equal(merged_scores, expected_scores)
+
+
 # --------------------------------------------------------------------- #
 # (c) IVF cell membership + cache consistency
 # --------------------------------------------------------------------- #
@@ -212,12 +305,15 @@ def _assert_ivf_invariants(index: IVFIndex) -> None:
     for cell, cell_members in index._cells.items():
         for position in cell_members:
             assert int(index._assignments[position]) == cell
-    for cell, cached in index._cell_arrays.items():
-        expected = np.fromiter(
-            sorted(index._cells.get(cell, set())), dtype=np.int64,
-            count=len(index._cells.get(cell, set())),
+    for cell, (positions, ids, rows) in index._cell_slabs.items():
+        np.testing.assert_array_equal(positions, sorted(index._cells.get(cell, set())))
+        np.testing.assert_array_equal(ids, index._ids[positions])
+        np.testing.assert_array_equal(
+            rows, normalize_rows(index._vectors[positions]).astype(index.dtype)
         )
-        np.testing.assert_array_equal(cached, expected)
+    np.testing.assert_array_equal(
+        index._centroid_sq, np.einsum("kd,kd->k", index._centroids, index._centroids)
+    )
 
 
 @given(
@@ -225,9 +321,11 @@ def _assert_ivf_invariants(index: IVFIndex) -> None:
     d=st.integers(2, 8),
     num_cells=st.integers(1, 8),
     seed=st.integers(0, 2**31 - 1),
-    ops=st.lists(st.sampled_from(["add", "update", "retrain", "search"]), max_size=5),
+    ops=st.lists(
+        st.sampled_from(["add", "update", "nudge", "retrain", "search"]), max_size=6
+    ),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_ivf_cells_partition_rows_and_caches_stay_consistent(
     n, d, num_cells, seed, ops
 ):
@@ -247,12 +345,18 @@ def test_ivf_cells_partition_rows_and_caches_stay_consistent(
             count = int(rng.integers(1, 5))
             positions = rng.integers(0, index.size, size=count)
             index.update_batch(positions, rng.normal(size=(count, d)) * 3)
+        elif op == "nudge":
+            # a rewrite that (almost always) stays in its cell: membership is
+            # untouched, but the cell's cached rows are stale all the same
+            position = int(rng.integers(0, index.size))
+            moved = index._vectors[position] + 0.05 * rng.normal(size=d)
+            index.update_batch([position], moved[None, :])
         elif op == "retrain":
             index.retrain(num_iterations=5)
             np.testing.assert_array_equal(index._ids, ids_before)  # ids preserved
         else:
-            # searching populates the _cell_arrays caches, so a later mutation
-            # must invalidate exactly the touched entries
+            # searching (every cell: n_probe == num_cells) fills the slab
+            # cache, so a later mutation must drop exactly what it staled
             index.search_batch(rng.normal(size=(2, d)), k=3)
         _assert_ivf_invariants(index)
 

@@ -8,6 +8,8 @@ fan-out, the `UserNeighborhoodComponent` / `SCCFConfig` knobs, and the
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,26 @@ class TestShardedIndex:
         # searches still work after close (executor is recreated lazily)
         index.search_batch(rng.normal(size=(3, 4)), k=2)
         index.close()
+
+    def test_deepcopy_after_threaded_search(self, rng):
+        """The lazily created thread pool is not copyable and must not be copied."""
+
+        queries = rng.normal(size=(3, 4))
+        with ShardedIndex(num_shards=2, num_threads=2) as index:
+            index.build(rng.normal(size=(12, 4)))
+            before = index.search_batch(queries, k=4)  # creates the pool
+            assert index._executor is not None
+            with copy.deepcopy(index) as duplicate:
+                assert duplicate._executor is None
+                assert index._executor is not None  # the original keeps its own
+                for answers in (duplicate.search_batch(queries, k=4), index.search_batch(queries, k=4)):
+                    for (ids, scores), (ids_before, scores_before) in zip(answers, before):
+                        np.testing.assert_array_equal(ids, ids_before)
+                        np.testing.assert_array_equal(scores, scores_before)
+                # detached: a write to the copy does not reach the original
+                duplicate.update(0, 10 * queries[0])
+                assert duplicate.search(queries[0], k=1)[0][0] == 0
+                np.testing.assert_array_equal(index.search(queries[0], k=4)[0], before[0][0])
 
 
 class TestNeighborhoodSharding:
