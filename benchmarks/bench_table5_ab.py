@@ -15,7 +15,7 @@ from repro.experiments import format_table5, run_table5
 from _bench_utils import emit_bench_json, run_once
 
 
-def test_table5_online_ab_simulation(benchmark):
+def test_table5_online_ab(benchmark):
     result = run_once(
         benchmark,
         run_table5,
@@ -31,7 +31,7 @@ def test_table5_online_ab_simulation(benchmark):
     )
     print("\n=== Table V: simulated online A/B test ===")
     print(format_table5(result))
-    emit_bench_json("table5_ab_test", result)
+    emit_bench_json("table5_ab", result)
     print(f"click lift: {result.click_lift * 100:+.2f}%   trade lift: {result.trade_lift * 100:+.2f}%")
 
     # Both buckets generate engagement, and the SCCF bucket should not lose

@@ -9,19 +9,14 @@ import numpy as np
 from .brute_force import BruteForceIndex, top_k_rows
 from .ivf import DEFAULT_RETRAIN_THRESHOLD, IVFIndex, kmeans
 from .metrics import cosine_similarity, inner_product, normalize_rows, pairwise_similarity
-from .process_sharded import ProcessShardedIndex, ShardHealth
 from .sharded import SearchResults, ShardedIndex
-from .shm import SharedMatrix
 
 __all__ = [
     "NeighborIndex",
     "BruteForceIndex",
     "IVFIndex",
     "ShardedIndex",
-    "ProcessShardedIndex",
     "SearchResults",
-    "ShardHealth",
-    "SharedMatrix",
     "DEFAULT_RETRAIN_THRESHOLD",
     "kmeans",
     "top_k_rows",
@@ -87,7 +82,6 @@ _RESTORERS = {
     "brute_force": BruteForceIndex,
     "ivf": IVFIndex,
     "sharded": ShardedIndex,
-    "process_sharded": ProcessShardedIndex,
 }
 
 
@@ -99,6 +93,11 @@ def restore_index(state: Dict[str, Any]) -> Any:
     """
 
     kind = state.get("kind")
+    if kind == "process_sharded":
+        raise ValueError(
+            "this snapshot was saved from the process-sharded index backend, which "
+            "was removed; re-fit the stack or restore from a 'sharded' snapshot"
+        )
     restorer = _RESTORERS.get(kind)
     if restorer is None:
         raise ValueError(f"unknown index snapshot kind {kind!r}")

@@ -17,8 +17,7 @@ architecture in-process:
   results carry *global* ids, so exclusion lists pass straight through.
 * **Thread fan-out** — NumPy matmuls release the GIL, so with
   ``num_threads > 1`` the per-shard searches run concurrently on a
-  ``ThreadPoolExecutor``; this is the in-process rehearsal for the
-  multi-worker deployment where each shard is its own process.
+  ``ThreadPoolExecutor``.
 
 Results are *bit-identical* to the unsharded backend: each candidate's score
 is the same query-row · index-row dot product regardless of which shard holds
@@ -36,7 +35,7 @@ import numpy as np
 
 from .brute_force import BruteForceIndex, check_new_ids
 
-__all__ = ["ScatterGatherMixin", "SearchResults", "ShardedIndex"]
+__all__ = ["SearchResults", "ShardedIndex"]
 
 
 class SearchResults(list):
@@ -57,108 +56,7 @@ class SearchResults(list):
         self.degraded = degraded
 
 
-class ScatterGatherMixin:
-    """Round-robin partition arithmetic, merge re-rank and lifecycle protocol.
-
-    Shared by the in-process :class:`ShardedIndex` (thread fan-out) and the
-    multi-core :class:`~repro.ann.process_sharded.ProcessShardedIndex`
-    (process workers), so the two backends cannot drift on the three things
-    that make them interchangeable:
-
-    * the ``p % S`` position map routing every row to its owning shard,
-    * the per-query merge that re-ranks per-shard top-k lists into exactly
-      the order an unsharded ``top_k_rows`` would produce, and
-    * the lifecycle protocol — ``close()`` (idempotent), context-manager
-      support, and best-effort teardown on ``__del__``.
-
-    Subclasses provide ``num_shards``, ``_ids``, ``_id_order``, ``_dim`` and
-    implement :meth:`close`.
-    """
-
-    num_shards: int
-
-    @property
-    def size(self) -> int:
-        return 0 if self._ids is None else len(self._ids)
-
-    @property
-    def dim(self) -> int:
-        return self._dim
-
-    def shard_of(self, position: int) -> Tuple[int, int]:
-        """Map a global row position to ``(shard, local position)``."""
-
-        if self._ids is None:
-            raise RuntimeError("index has not been built")
-        if not 0 <= position < len(self._ids):
-            raise ValueError("position out of range")
-        return position % self.num_shards, position // self.num_shards
-
-    def _shard_mask(self, positions: np.ndarray, shard: int) -> np.ndarray:
-        return positions % self.num_shards == shard
-
-    def search(
-        self,
-        query: np.ndarray,
-        k: int,
-        exclude: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Single-query scatter-gather (the batch path with one row)."""
-
-        query = np.asarray(query).reshape(-1)
-        exclusions = None if exclude is None else [np.asarray(exclude, dtype=np.int64)]
-        return self.search_batch(query[None, :], k, exclude_per_query=exclusions)[0]
-
-    def _merge_row(
-        self,
-        partials: List[List[Tuple[np.ndarray, np.ndarray]]],
-        row: int,
-        k: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Merge one query's per-shard top-k lists into the global top-k.
-
-        One ordering pass by descending score.  Only candidates with *equal*
-        scores need their global positions looked up: an unsharded
-        ``top_k_rows`` over the full score matrix orders ties by ascending
-        position, while the concatenated lists hold them shard by shard.
-        """
-
-        ids = np.concatenate([partial[row][0] for partial in partials])
-        scores = np.concatenate([partial[row][1] for partial in partials])
-        order = (-scores).argsort(kind="stable")
-        ranked = scores[order]
-        if (ranked[1:] == ranked[:-1]).any():
-            order = np.lexsort((self._positions_of(ids), -scores))
-            ranked = scores[order]
-        return ids[order[:k]], ranked[:k]
-
-    def _positions_of(self, ids: np.ndarray) -> np.ndarray:
-        """Global positions of ``ids`` (ids are unique by construction)."""
-
-        if self._id_order is None:
-            self._id_order = np.argsort(self._ids, kind="stable")
-        return self._id_order[self._ids.searchsorted(ids, sorter=self._id_order)]
-
-    def close(self) -> None:  # pragma: no cover — always overridden
-        raise NotImplementedError
-
-    def __enter__(self) -> "ScatterGatherMixin":
-        return self
-
-    def __exit__(self, exc_type: object, exc_value: object, traceback: object) -> None:
-        self.close()
-
-    def __del__(self) -> None:
-        # Release the workers with the index: callers up the stack
-        # (UserNeighborhoodComponent, SCCF) hold the index for their own
-        # lifetime and close() cascades are best-effort at teardown.
-        try:
-            self.close()
-        except Exception:
-            pass  # interpreter teardown; nothing useful to do
-
-
-class ShardedIndex(ScatterGatherMixin):
+class ShardedIndex:
     """Scatter-gather top-k search over S backend shards.
 
     Parameters
@@ -179,10 +77,9 @@ class ShardedIndex(ScatterGatherMixin):
         unchanged.  ``"degrade"`` answers from the surviving shards instead:
         the failing shard's partial results are dropped, the request is
         counted in ``degraded_requests``, and the merged
-        :class:`SearchResults` is tagged ``degraded=True``.  In-process
-        shards fail far less often than worker processes, but a custom
-        ``shard_factory`` backend can still throw (e.g. a remote shard), and
-        the serving stack treats both backends uniformly.
+        :class:`SearchResults` is tagged ``degraded=True``.  The standard
+        in-process backends rarely throw, but a custom ``shard_factory``
+        backend can (e.g. a remote shard).
     """
 
     def __init__(
@@ -221,10 +118,30 @@ class ShardedIndex(ScatterGatherMixin):
     # partitioning
     # ------------------------------------------------------------------ #
     @property
+    def size(self) -> int:
+        return 0 if self._ids is None else len(self._ids)
+
+    @property
+    def dim(self) -> int:
+        return self._dim
+
+    @property
     def shards(self) -> List[object]:
         """The backend shard indexes (read-only view for maintenance/tests)."""
 
         return list(self._shards)
+
+    def shard_of(self, position: int) -> Tuple[int, int]:
+        """Map a global row position to ``(shard, local position)``."""
+
+        if self._ids is None:
+            raise RuntimeError("index has not been built")
+        if not 0 <= position < len(self._ids):
+            raise ValueError("position out of range")
+        return position % self.num_shards, position // self.num_shards
+
+    def _shard_mask(self, positions: np.ndarray, shard: int) -> np.ndarray:
+        return positions % self.num_shards == shard
 
     def build(self, vectors: np.ndarray, ids: Optional[np.ndarray] = None) -> "ShardedIndex":
         """Partition ``vectors`` round-robin and build one backend per shard."""
@@ -331,8 +248,20 @@ class ShardedIndex(ScatterGatherMixin):
         return self
 
     # ------------------------------------------------------------------ #
-    # scatter-gather querying (single-query search comes from the mixin)
+    # scatter-gather querying
     # ------------------------------------------------------------------ #
+    def search(
+        self,
+        query: np.ndarray,
+        k: int,
+        exclude: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Single-query scatter-gather (the batch path with one row)."""
+
+        query = np.asarray(query).reshape(-1)
+        exclusions = None if exclude is None else [np.asarray(exclude, dtype=np.int64)]
+        return self.search_batch(query[None, :], k, exclude_per_query=exclusions)[0]
+
     def search_batch(
         self,
         queries: np.ndarray,
@@ -396,6 +325,36 @@ class ShardedIndex(ScatterGatherMixin):
             [self._merge_row(partials, row, k) for row in range(len(queries))],
             degraded=degraded,
         )
+
+    def _merge_row(
+        self,
+        partials: List[List[Tuple[np.ndarray, np.ndarray]]],
+        row: int,
+        k: int,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Merge one query's per-shard top-k lists into the global top-k.
+
+        One ordering pass by descending score.  Only candidates with *equal*
+        scores need their global positions looked up: an unsharded
+        ``top_k_rows`` over the full score matrix orders ties by ascending
+        position, while the concatenated lists hold them shard by shard.
+        """
+
+        ids = np.concatenate([partial[row][0] for partial in partials])
+        scores = np.concatenate([partial[row][1] for partial in partials])
+        order = (-scores).argsort(kind="stable")
+        ranked = scores[order]
+        if (ranked[1:] == ranked[:-1]).any():
+            order = np.lexsort((self._positions_of(ids), -scores))
+            ranked = scores[order]
+        return ids[order[:k]], ranked[:k]
+
+    def _positions_of(self, ids: np.ndarray) -> np.ndarray:
+        """Global positions of ``ids`` (ids are unique by construction)."""
+
+        if self._id_order is None:
+            self._id_order = np.argsort(self._ids, kind="stable")
+        return self._id_order[self._ids.searchsorted(ids, sorter=self._id_order)]
 
     # ------------------------------------------------------------------ #
     # maintenance fan-out
@@ -559,8 +518,7 @@ class ShardedIndex(ScatterGatherMixin):
         and searches after ``close`` recreate it lazily.  Shard backends
         exposing a ``close()`` of their own (a custom factory) are closed too
         — the lifecycle protocol cascades all the way down, and if such a
-        backend's close is terminal (e.g. a nested process-sharded index),
-        this index is terminal with it.
+        backend's close is terminal, this index is terminal with it.
         """
 
         if self._executor is not None:
@@ -570,3 +528,18 @@ class ShardedIndex(ScatterGatherMixin):
             closer = getattr(shard, "close", None)
             if closer is not None:
                 closer()
+
+    def __enter__(self) -> "ShardedIndex":
+        return self
+
+    def __exit__(self, exc_type: object, exc_value: object, traceback: object) -> None:
+        self.close()
+
+    def __del__(self) -> None:
+        # Release the thread pool with the index: callers up the stack
+        # (UserNeighborhoodComponent, SCCF) hold the index for their own
+        # lifetime and close() cascades are best-effort at teardown.
+        try:
+            self.close()
+        except Exception:
+            pass  # interpreter teardown; nothing useful to do

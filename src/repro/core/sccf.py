@@ -47,10 +47,7 @@ class SCCFConfig:
     lists handed to the integrating component; the online deployment uses 500,
     offline evaluation needs at least the largest k reported (100).
     ``num_shards > 1`` partitions the user-neighbor index across that many
-    scatter-gather shards (bit-identical results, lower per-worker load);
-    ``shard_backend`` picks the fan-out — ``"thread"`` (in-process pool) or
-    ``"process"`` (persistent worker processes over shared memory, true
-    multi-core scaling; remember to ``close()`` the stack).
+    scatter-gather shards (bit-identical results, lower per-shard load).
     ``cache_capacity > 0`` attaches a versioned
     :class:`~repro.core.cache.ServingCache` of that per-layer capacity, so
     repeat requests skip recomputing embeddings, neighbor lists and fused
@@ -70,7 +67,6 @@ class SCCFConfig:
     merger_learning_rate: float = 0.003
     merger_batch_size: int = 256
     num_shards: int = 1
-    shard_backend: str = "thread"
     failure_policy: str = "raise"
     cache_capacity: int = 0
     seed: int = 0
@@ -84,8 +80,6 @@ class SCCFConfig:
             raise ValueError("recency_window must be positive")
         if self.num_shards <= 0:
             raise ValueError("num_shards must be positive")
-        if self.shard_backend not in ("thread", "process"):
-            raise ValueError("shard_backend must be 'thread' or 'process'")
         if self.failure_policy not in ("raise", "degrade"):
             raise ValueError("failure_policy must be 'raise' or 'degrade'")
         if self.cache_capacity < 0:
@@ -116,7 +110,6 @@ class SCCF(Recommender):
             recency_window=self.config.recency_window,
             index=neighbor_index,
             num_shards=self.config.num_shards,
-            shard_backend=self.config.shard_backend,
             failure_policy=self.config.failure_policy,
         )
         if cache is None and self.config.cache_capacity > 0:
@@ -522,11 +515,9 @@ class SCCF(Recommender):
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release the neighborhood's index workers (lifecycle cascade).
+        """Release the neighborhood index's thread pool (lifecycle cascade).
 
-        Required when serving with ``shard_backend="process"`` — the shard
-        worker processes and their shared-memory segments outlive garbage
-        collection otherwise.  Safe and idempotent for every other index.
+        Safe and idempotent; an index without a ``close()`` is left alone.
         """
 
         self.neighborhood.close()

@@ -34,7 +34,6 @@ import numpy as np
 from ..ann import (
     BruteForceIndex,
     NeighborIndex,
-    ProcessShardedIndex,
     ShardedIndex,
     search_batch,
     update_batch,
@@ -80,24 +79,17 @@ class UserNeighborhoodComponent:
         ``num_shards > 1`` it builds each shard of a
         :class:`~repro.ann.sharded.ShardedIndex`.
     num_shards:
-        Partition the user index across this many scatter-gather shards
-        (one worker per shard).  ``1`` (default) keeps the single-index
-        layout.
-    shard_backend:
-        ``"thread"`` (default) fans the per-shard searches out over a
-        :class:`~repro.ann.sharded.ShardedIndex` thread pool; ``"process"``
-        serves them from persistent worker *processes* over a shared-memory
-        vector store (:class:`~repro.ann.process_sharded.ProcessShardedIndex`)
-        for true multi-core scaling.  Only consulted when ``num_shards > 1``;
-        the process backend owns its shard layout, so it cannot be combined
-        with ``index_factory``.  Call :meth:`close` (or let the owning
-        ``SCCF`` / ``RealTimeServer`` cascade it) to release the workers.
+        Partition the user index across this many scatter-gather shards of a
+        :class:`~repro.ann.sharded.ShardedIndex` (one search thread per
+        shard).  ``1`` (default) keeps the single-index layout.  Call
+        :meth:`close` (or let the owning ``SCCF`` / ``RealTimeServer``
+        cascade it) to release the thread pool.
     failure_policy:
-        Forwarded to the sharded backends (only consulted when
-        ``num_shards > 1``): ``"raise"`` propagates shard failures,
-        ``"degrade"`` serves neighborhoods from the surviving shards while
-        dead workers restart — degraded neighborhoods are never written to
-        the serving cache.
+        Forwarded to the :class:`~repro.ann.sharded.ShardedIndex` (only
+        consulted when ``num_shards > 1``): ``"raise"`` propagates shard
+        failures, ``"degrade"`` serves neighborhoods from the surviving
+        shards — degraded neighborhoods are never written to the serving
+        cache.
     max_user_growth:
         Upper bound on how many rows a single :meth:`add_users` call may
         append (streamed ids are dense, so growth is backed by a dense zero
@@ -113,7 +105,6 @@ class UserNeighborhoodComponent:
         max_user_growth: int = 10_000,
         index_factory: Optional[Callable[[], NeighborIndex]] = None,
         num_shards: int = 1,
-        shard_backend: str = "thread",
         failure_policy: str = "raise",
     ) -> None:
         if num_neighbors <= 0:
@@ -124,8 +115,6 @@ class UserNeighborhoodComponent:
             raise ValueError("max_user_growth must be positive")
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
-        if shard_backend not in ("thread", "process"):
-            raise ValueError("shard_backend must be 'thread' or 'process'")
         if failure_policy not in ("raise", "degrade"):
             raise ValueError("failure_policy must be 'raise' or 'degrade'")
         self.num_neighbors = num_neighbors
@@ -133,15 +122,6 @@ class UserNeighborhoodComponent:
         self.max_user_growth = max_user_growth
         if index is not None:
             self.index: NeighborIndex = index
-        elif num_shards > 1 and shard_backend == "process":
-            if index_factory is not None:
-                raise ValueError(
-                    "the process shard backend owns its shard layout; "
-                    "index_factory cannot be combined with shard_backend='process'"
-                )
-            self.index = ProcessShardedIndex(
-                num_shards=num_shards, failure_policy=failure_policy
-            )
         elif num_shards > 1:
             self.index = ShardedIndex(
                 num_shards=num_shards,
@@ -741,7 +721,7 @@ class UserNeighborhoodComponent:
         return list(self._recent_items.get(user_id, []))
 
     def close(self) -> None:
-        """Release the index's workers, if it has any (thread pool / processes).
+        """Release the index's thread pool, if it has one.
 
         Part of the lifecycle cascade: ``RealTimeServer.close()`` →
         ``SCCF.close()`` → here → ``index.close()``.  Safe on indexes with no

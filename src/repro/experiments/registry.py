@@ -65,7 +65,7 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
         title="Simulated online A/B test",
         paper_reference="Table V",
         runner=run_table5,
-        benchmark_module="benchmarks/bench_table5_ab_test.py",
+        benchmark_module="benchmarks/bench_table5_ab.py",
     ),
     "figure1": ExperimentSpec(
         experiment_id="figure1",

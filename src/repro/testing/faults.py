@@ -1,29 +1,22 @@
 """Deterministic fault injection for the fault-tolerant serving stack.
 
-Chaos testing a supervised system means *choosing* the failures: a worker
-SIGKILLed mid-request, a pipe that swallows one reply, a reply that limps in
-seconds late, a maintenance pass that explodes.  Leaving those to chance
-makes failures unreproducible; :class:`FaultInjector` makes every one of
-them a seeded, explicit operation, so a hypothesis counterexample replays
-bit-for-bit and a benchmark kills workers on a fixed cadence.
+Chaos testing means *choosing* the failures: a shard that throws
+mid-request, a maintenance pass that explodes, a snapshot commit or a
+journal write cut short.  Leaving those to chance makes failures
+unreproducible; :class:`FaultInjector` makes every one of them a seeded,
+explicit operation, so a hypothesis counterexample replays bit-for-bit.
 
 The injector attacks the real mechanisms, not mocks:
 
-* :meth:`kill_worker` sends an actual SIGKILL to a live shard worker of a
-  :class:`~repro.ann.process_sharded.ProcessShardedIndex` — exactly what an
-  OOM killer or a segfault does — and the index's supervisor is expected to
-  notice, restart, and re-attach the shared-memory shard.
-* :meth:`drop_replies` / :meth:`delay_replies` interpose a wrapper on the
-  parent's pipe end that eats or postpones real worker replies, driving the
-  timeout → reap → respawn path and the sequence-number discard logic
-  without killing anything.
+* :meth:`fail_shard` makes one shard of a
+  :class:`~repro.ann.sharded.ShardedIndex` raise :class:`InjectedFault` from
+  its next N ``search_batch`` calls, then answer again — the shard exception
+  that feeds ``failure_policy="degrade"``, the never-cache-a-degraded-answer
+  guards and the stale-or-empty fallback.
 * :meth:`fail_maintenance` patches a server's ``maintain`` to raise
   :class:`InjectedFault` for the next N calls, exercising the
   :class:`~repro.core.realtime.MaintenanceScheduler`'s exception containment
   and backoff.
-* :meth:`tick` turns the injector into a schedule: call it once per query
-  and every ``kill_every``-th call kills a (seeded) random live worker —
-  the loop :mod:`benchmarks.bench_fault_tolerance` is built on.
 * :meth:`fail_snapshot_commit` / :meth:`truncate_snapshot_file` /
   :meth:`corrupt_snapshot_checksum` attack the crash-safe snapshot store:
   a crash between tmp-write and atomic rename, a partially written segment,
@@ -39,15 +32,14 @@ The injector attacks the real mechanisms, not mocks:
   with them, so an in-process "restart" can take ownership and run
   recovery the way a real restart would.
 
-Everything observable about the injector is derived from its ``seed``; two
-injectors with the same seed attack the same shards in the same order.
+Every random choice the injector makes (torn-write lengths, flipped offsets)
+is derived from its ``seed``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import time
 from pathlib import Path
 from typing import Any, List, Optional
 
@@ -60,170 +52,43 @@ class InjectedFault(RuntimeError):
     """Raised by patched components to simulate an internal failure."""
 
 
-class _FlakyPipe:
-    """Wrapper over a parent-side pipe end that drops or delays worker replies.
-
-    Installed in place of a ``ProcessShardedIndex`` slot's ``conn``; the
-    supervisor's ``poll``/``recv``/``send``/``close`` calls all land here.
-    *Dropping* consumes a real reply off the wire and discards it — the
-    parent sees silence, times out, and reaps a perfectly healthy worker
-    (the lost-reply failure mode).  *Delaying* reports silence until a
-    deadline without consuming anything — the reply then arrives late, and
-    the sequence-number protocol must pair it with the right request or
-    discard it.  The wrapper survives only until the supervisor replaces the
-    slot's pipe on restart, which mirrors reality: a respawned worker gets a
-    fresh, honest pipe.
-    """
-
-    def __init__(self, conn: Any) -> None:
-        self._conn = conn
-        self._drop_budget = 0
-        self._delay_until = 0.0
-
-    # -- fault programming ------------------------------------------------ #
-    def drop_next(self, count: int) -> None:
-        self._drop_budget += count
-
-    def delay_for(self, seconds: float) -> None:
-        self._delay_until = max(self._delay_until, time.monotonic() + seconds)
-
-    # -- the Connection surface the supervisor uses ----------------------- #
-    def poll(self, timeout: float = 0.0) -> bool:
-        if time.monotonic() < self._delay_until:
-            # Pretend silence (without consuming): sleep out the caller's
-            # poll window so the supervisor's deadline keeps draining.
-            if timeout:
-                time.sleep(min(timeout, max(0.0, self._delay_until - time.monotonic())))
-            if time.monotonic() < self._delay_until:
-                return False
-        while self._drop_budget > 0 and self._conn.poll(timeout):
-            self._conn.recv()  # eat the real reply: it never happened
-            self._drop_budget -= 1
-        return self._conn.poll(timeout)
-
-    def recv(self) -> Any:
-        # Pure pass-through mirroring the Connection surface: the supervisor
-        # only calls this after ITS poll() returned True, so the poll guard
-        # RL006 wants lives at the call site, not in this shim.
-        return self._conn.recv()  # repolint: disable=RL006
-
-    def send(self, obj: object) -> None:
-        self._conn.send(obj)
-
-    def close(self) -> None:
-        self._conn.close()
-
-    def fileno(self) -> int:  # pragma: no cover — parity with Connection
-        return self._conn.fileno()
-
-
 class FaultInjector:
-    """Seeded source of worker kills, pipe faults and maintenance failures.
+    """Seeded source of shard, maintenance, snapshot and journal faults.
 
     Parameters
     ----------
     seed:
-        Seeds every random choice (which shard to kill next).  Two injectors
-        with equal seeds produce identical fault schedules.
-    kill_every:
-        Cadence for :meth:`tick`: every ``kill_every``-th tick kills one
-        random live worker.  ``None`` disables the schedule (``tick`` then
-        never kills).
+        Seeds every random choice (torn-write prefix lengths, corrupted
+        offsets).  Two injectors with equal seeds inject identical faults.
     """
 
-    def __init__(self, seed: int = 0, kill_every: Optional[int] = None) -> None:
-        if kill_every is not None and kill_every <= 0:
-            raise ValueError("kill_every must be positive")
+    def __init__(self, seed: int = 0) -> None:
         self._rng = np.random.default_rng(seed)
-        self.kill_every = kill_every
-        #: ticks observed so far (one per query in a bench loop)
-        self.ticks = 0
-        #: total workers killed through this injector
-        self.kills = 0
-        #: shards killed, in order — the reproducible fault schedule
-        self.kill_log: List[int] = []
 
     # ------------------------------------------------------------------ #
-    # process faults
+    # shard faults
     # ------------------------------------------------------------------ #
-    def _live_shards(self, index: Any) -> List[int]:
-        return [
-            shard
-            for shard, slot in enumerate(index._slots)
-            if slot.proc is not None and slot.proc.is_alive()
-        ]
+    def fail_shard(self, index: Any, shard: int, times: int = 1) -> None:
+        """Make ``shard``'s next ``times`` ``search_batch`` calls raise.
 
-    def kill_worker(self, index: Any, shard: Optional[int] = None) -> Optional[int]:
-        """SIGKILL one shard worker (seeded choice among the live ones).
-
-        Returns the shard killed, or ``None`` when no worker is alive to
-        kill.  The kill is synchronous — the process is joined — so on
-        return the failure is certain to be *observable*; whether it has
-        been *noticed* is the supervisor's job, which is exactly what chaos
-        tests probe.
+        Patches the shard backend *instance* inside a
+        :class:`~repro.ann.sharded.ShardedIndex`, so its siblings keep
+        answering; after ``times`` failures the patch removes itself and the
+        shard answers again (the heal a degraded stack recovers on).
         """
 
-        if shard is None:
-            live = self._live_shards(index)
-            if not live:
-                return None
-            shard = int(self._rng.choice(live))
-        slot = index._slots[shard]
-        if slot.proc is None or not slot.proc.is_alive():
-            return None
-        slot.proc.kill()
-        slot.proc.join(timeout=10.0)
-        self.kills += 1
-        self.kill_log.append(shard)
-        return shard
+        if times <= 0:
+            raise ValueError("times must be positive")
+        backend = index.shards[shard]
+        remaining = [times]
 
-    def tick(self, index: Any) -> Optional[int]:
-        """Advance the fault schedule by one query; maybe kill a worker.
+        def failing_search_batch(*args: Any, **kwargs: Any) -> Any:
+            remaining[0] -= 1
+            if remaining[0] == 0:
+                del backend.search_batch  # back to the class's method
+            raise InjectedFault(f"injected failure of shard {shard}")
 
-        Returns the shard killed on a killing tick, else ``None``.  With
-        ``kill_every=None`` this only counts ticks.
-        """
-
-        self.ticks += 1
-        if self.kill_every is not None and self.ticks % self.kill_every == 0:
-            return self.kill_worker(index)
-        return None
-
-    # ------------------------------------------------------------------ #
-    # pipe faults
-    # ------------------------------------------------------------------ #
-    def _flaky_pipe(self, index: Any, shard: int) -> _FlakyPipe:
-        slot = index._slots[shard]
-        if slot.conn is None:
-            raise RuntimeError(f"shard {shard} has no live pipe to tamper with")
-        if not isinstance(slot.conn, _FlakyPipe):
-            slot.conn = _FlakyPipe(slot.conn)
-        return slot.conn
-
-    def drop_replies(self, index: Any, shard: int, count: int = 1) -> None:
-        """Silently discard the next ``count`` replies from ``shard``'s worker.
-
-        The worker does its work; the parent never hears back — the
-        lost-message failure mode.  The supervisor should time the request
-        out and recycle the (innocent) worker.
-        """
-
-        if count <= 0:
-            raise ValueError("count must be positive")
-        self._flaky_pipe(index, shard).drop_next(count)
-
-    def delay_replies(self, index: Any, shard: int, seconds: float) -> None:
-        """Hold ``shard``'s replies back for ``seconds`` before delivery.
-
-        A delay shorter than the index's ``response_timeout`` exercises slow
-        but successful requests; a longer one drives the timeout → restart
-        path with the late reply still in flight, which the sequence-number
-        protocol must discard rather than mis-pair.
-        """
-
-        if seconds <= 0:
-            raise ValueError("seconds must be positive")
-        self._flaky_pipe(index, shard).delay_for(seconds)
+        backend.search_batch = failing_search_batch
 
     # ------------------------------------------------------------------ #
     # maintenance faults

@@ -10,9 +10,9 @@ The contract under test, in rough order of importance:
   scoring slot, and the latency sample covers the wait.
 * **Backpressure** — at queue capacity ``"reject"`` raises
   :class:`QueueFull` immediately, ``"wait"`` suspends the caller.
-* **Chaos** — a worker killed mid-window (process backend,
-  ``failure_policy="degrade"``) never loses or duplicates a request: every
-  caller gets exactly one response.
+* **Chaos** — a shard failing mid-stream (``failure_policy="degrade"``)
+  never loses or duplicates a request: every caller gets exactly one
+  response.
 
 The suite drives the front-end with ``asyncio.run`` inside ordinary sync
 tests — no async test plugin needed.
@@ -360,17 +360,16 @@ class TestSloAccounting:
 
 
 # --------------------------------------------------------------------- #
-# chaos: worker kill mid-window never loses or duplicates a request
+# chaos: a shard failure mid-window never loses or duplicates a request
 # --------------------------------------------------------------------- #
 class TestChaos:
     @pytest.fixture()
-    def process_server(self, tiny_dataset, trained_fism):
+    def degrade_server(self, tiny_dataset, trained_fism):
         config = SCCFConfig(
             num_neighbors=8,
             candidate_list_size=20,
             merger_epochs=1,
             num_shards=2,
-            shard_backend="process",
             failure_policy="degrade",
             cache_capacity=64,
             seed=3,
@@ -380,8 +379,8 @@ class TestChaos:
         yield server
         server.close()
 
-    def test_kill_mid_stream_answers_every_request_exactly_once(self, process_server, tiny_dataset):
-        server = process_server
+    def test_kill_mid_stream_answers_every_request_exactly_once(self, degrade_server, tiny_dataset):
+        server = degrade_server
         index = server.sccf.neighborhood.index
         injector = FaultInjector(seed=5)
         recommends, observes = _mixed_workload(tiny_dataset, num_requests=24, seed=5)
@@ -391,7 +390,10 @@ class TestChaos:
                 first = await asyncio.gather(
                     *(frontend.recommend(u, k=5) for u in recommends[:12])
                 )
-                injector.kill_worker(index)  # mid-stream, windows keep flowing
+                # mid-stream, windows keep flowing; a cold cache makes the
+                # second half search the wounded index instead of hitting
+                server.sccf.cache.clear()
+                injector.fail_shard(index, 0, times=2)
                 second = await asyncio.gather(
                     *(frontend.recommend(u, k=5) for u in recommends[12:]),
                     *(frontend.observe(u, i) for u, i in observes),
@@ -401,15 +403,17 @@ class TestChaos:
         first, second, stats = asyncio.run(drive())
 
         # exactly one response per admitted request — nothing lost, nothing
-        # duplicated, nothing raised (degrade policy absorbs the kill)
+        # duplicated, nothing raised (degrade policy absorbs the failure)
         assert len(first) + len(second) == len(recommends) + len(observes)
         assert all(isinstance(result, list) for result in first)
         assert stats.recommend_requests == len(recommends)
         assert stats.observe_requests == len(observes)
         assert server.recommend_failures == 0
-        # ... and the pool heals afterwards
-        assert index.wait_until_healthy(timeout=30.0)
-        assert server.health().healthy
+        assert server.served_degraded >= 1 and index.degraded_requests == 2
+        # ... and the index answers in full again afterwards
+        server.sccf.cache.clear()
+        assert isinstance(server.recommend(recommends[0], k=5), list)
+        assert index.degraded_requests == 2
 
     @pytest.fixture()
     def ivf_server(self, tiny_dataset, trained_fism):

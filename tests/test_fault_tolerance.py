@@ -1,51 +1,34 @@
-"""Chaos suite: supervised workers, degraded serving, and the fault harness.
+"""Chaos suite: degraded serving and the fault harness.
 
 Everything here injects *deterministic* faults through
 :class:`repro.testing.FaultInjector` and asserts the stack's contract under
 them:
 
-* **Fault injector** — the harness itself is deterministic: same seed, same
-  kill schedule; ``tick`` kills on an exact cadence; programming errors are
-  rejected eagerly.
-* **Degraded scatter-gather** (process backend) — with
-  ``failure_policy="degrade"`` a worker outage answers from the surviving
-  shards (verified value-identical to a brute-force index over exactly the
-  surviving rows), an all-shards outage answers empty, and recovery restores
-  bit-identical parity with a never-faulted baseline.  A hypothesis chaos
-  run interleaves kills with mutations and searches, kills *every* worker at
-  least once, and must never raise.
-* **Pipe faults** — dropped replies recycle the (innocent) worker via the
-  response timeout; short delays are slow-but-correct; long delays degrade
-  and recover.  Restarts replace the tampered pipe with an honest one.
+* **Fault injector** — programming errors are rejected eagerly, and
+  ``fail_shard`` fails exactly the requested number of searches before the
+  shard answers again.
+* **Degraded scatter-gather** — with ``failure_policy="degrade"`` a failing
+  shard answers from the surviving shards (verified value-identical to a
+  brute-force index over exactly the surviving rows), an all-shards outage
+  answers empty, the healed index is bit-identical to a never-faulted
+  baseline, and ``"raise"`` propagates the shard's exception.
 * **Serving stack** — ``RealTimeServer.health()`` snapshots, the
   degrade-but-never-cache rule for partial answers, the stale-or-empty
   fallback when scoring raises, request-boundary id hardening, deadline
   accounting, and :class:`MaintenanceScheduler` exception containment with
   exponential backoff.
-* **Thread backend** — :class:`ShardedIndex` honors the same
-  ``failure_policy`` contract when a shard backend throws.
-
-Worker processes cost ~0.5–1 s to spawn on the CI box, so the hypothesis
-chaos test shares one pooled index across examples (its restart budget is
-effectively unlimited because ``build()`` only resets budgets of shards it
-revives).
 """
 
 from __future__ import annotations
 
-import multiprocessing
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.ann import BruteForceIndex, ProcessShardedIndex, ShardedIndex
+from repro.ann import BruteForceIndex, ShardedIndex
 from repro.ann.sharded import SearchResults
 from repro.core import SCCF, MaintenanceScheduler, RealTimeServer, SCCFConfig
 from repro.core.realtime import HealthReport
 from repro.testing import FaultInjector, InjectedFault
-from repro.testing.faults import _FlakyPipe
 
 
 def _survivor_baseline(vectors: np.ndarray, dead_shard: int, num_shards: int) -> BruteForceIndex:
@@ -64,280 +47,26 @@ def _assert_same_results(got, expected) -> None:
 
 
 # --------------------------------------------------------------------- #
-# pooled degrade-policy index for the hypothesis chaos run
+# the injector itself is strict and exact
 # --------------------------------------------------------------------- #
-_CHAOS_POOL = {}
-
-
-def _chaos_index(num_shards: int) -> ProcessShardedIndex:
-    index = _CHAOS_POOL.get(num_shards)
-    if index is None:
-        index = ProcessShardedIndex(
-            num_shards=num_shards,
-            initial_capacity=8,
-            failure_policy="degrade",
-            restart_budget=1_000_000,
-            restart_backoff=0.01,
-            restart_backoff_cap=0.05,
-        )
-        _CHAOS_POOL[num_shards] = index
-    return index
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _close_pool():
-    yield
-    for index in _CHAOS_POOL.values():
-        index.close()
-    _CHAOS_POOL.clear()
-    assert multiprocessing.active_children() == []
-
-
-# --------------------------------------------------------------------- #
-# the injector itself is deterministic and strict
-# --------------------------------------------------------------------- #
-class _FakeProc:
-    def __init__(self):
-        self.alive = True
-        self.kills = 0
-
-    def is_alive(self):
-        return self.alive
-
-    def kill(self):
-        self.alive = False
-        self.kills += 1
-
-    def join(self, timeout=None):
-        pass
-
-
-class _FakeSlot:
-    def __init__(self):
-        self.proc = _FakeProc()
-        self.conn = None
-
-
-class _FakeIndex:
-    def __init__(self, num_shards):
-        self._slots = [_FakeSlot() for _ in range(num_shards)]
-
-
 class TestFaultInjector:
-    def test_same_seed_same_kill_schedule(self):
-        logs = []
-        for _ in range(2):
-            index = _FakeIndex(6)
-            injector = FaultInjector(seed=42)
-            for _ in range(4):
-                injector.kill_worker(index)
-            logs.append(injector.kill_log)
-        assert logs[0] == logs[1] and len(logs[0]) == 4
-
-    def test_tick_kills_on_exact_cadence(self):
-        index = _FakeIndex(8)
-        injector = FaultInjector(seed=0, kill_every=3)
-        killed_on = [tick for tick in range(1, 10) if injector.tick(index) is not None]
-        assert killed_on == [3, 6, 9]
-        assert injector.ticks == 9 and injector.kills == 3
-        assert len(injector.kill_log) == 3
-
-    def test_no_live_workers_means_no_kill(self):
-        index = _FakeIndex(2)
-        injector = FaultInjector(seed=1)
-        assert injector.kill_worker(index, shard=0) == 0
-        assert injector.kill_worker(index, shard=0) is None  # already dead
-        assert injector.kill_worker(index) == 1
-        assert injector.kill_worker(index) is None  # nobody left
-        assert injector.kills == 2
-
     def test_validation(self):
-        with pytest.raises(ValueError, match="kill_every"):
-            FaultInjector(kill_every=0)
         injector = FaultInjector()
-        index = _FakeIndex(1)
-        with pytest.raises(RuntimeError, match="no live pipe"):
-            injector.drop_replies(index, 0)
-        with pytest.raises(ValueError, match="count"):
-            injector.drop_replies(_FakeIndex(1), 0, count=0)
-        with pytest.raises(ValueError, match="seconds"):
-            injector.delay_replies(_FakeIndex(1), 0, seconds=0)
+        with pytest.raises(ValueError, match="times"):
+            injector.fail_shard(object(), 0, times=0)
         with pytest.raises(ValueError, match="times"):
             injector.fail_maintenance(object(), times=0)
 
-
-# --------------------------------------------------------------------- #
-# degraded scatter-gather on the process backend
-# --------------------------------------------------------------------- #
-class TestDegradedProcessServing:
-    def test_degrade_serves_survivors_then_recovers_bit_identical(self, rng):
-        vectors = rng.normal(size=(12, 4))
-        flat = BruteForceIndex().build(vectors)
-        survivors = _survivor_baseline(vectors, dead_shard=0, num_shards=2)
-        queries = rng.normal(size=(3, 4))
-        with ProcessShardedIndex(
-            num_shards=2, initial_capacity=8, failure_policy="degrade", restart_backoff=0.01
-        ) as index:
-            index.build(vectors)
-            injector = FaultInjector(seed=0)
-            assert injector.kill_worker(index, shard=0) == 0
-            results = index.search_batch(queries, 4)
-            assert isinstance(results, SearchResults) and results.degraded
-            assert index.degraded_requests == 1
-            # the degraded answer is exactly the surviving shard's rows
-            _assert_same_results(results, survivors.search_batch(queries, 4))
-            assert index.wait_until_healthy(timeout=30.0)
-            healed = index.search_batch(queries, 4)
-            assert not getattr(healed, "degraded", False)
-            _assert_same_results(healed, flat.search_batch(queries, 4))
-            assert index.restarts_total == 1
-
-    def test_all_shards_down_serves_empty_then_recovers(self, rng):
+    def test_fail_shard_fails_exactly_times_then_heals(self, rng):
         vectors = rng.normal(size=(8, 3))
         flat = BruteForceIndex().build(vectors)
         queries = rng.normal(size=(2, 3))
-        with ProcessShardedIndex(
-            num_shards=2, initial_capacity=8, failure_policy="degrade", restart_backoff=0.01
-        ) as index:
-            index.build(vectors)
-            injector = FaultInjector(seed=0)
-            injector.kill_worker(index, shard=0)
-            injector.kill_worker(index, shard=1)
-            results = index.search_batch(queries, 3)
-            assert results.degraded and len(results) == 2
-            for ids, scores in results:
-                assert len(ids) == 0 and len(scores) == 0
-            assert index.wait_until_healthy(timeout=30.0)
-            _assert_same_results(index.search_batch(queries, 3), flat.search_batch(queries, 3))
-
-    def test_exhausted_budget_tombstones_until_rebuild(self, rng):
-        vectors = rng.normal(size=(8, 3))
-        flat = BruteForceIndex().build(vectors)
-        with ProcessShardedIndex(
-            num_shards=2, initial_capacity=8, restart_budget=0, restart_backoff=0.01
-        ) as index:
-            index.build(vectors)
-            FaultInjector(seed=0).kill_worker(index, shard=1)
-            # budget 0: the first supervision pass tombstones the shard, and
-            # the raise policy names the terminal condition
-            with pytest.raises(RuntimeError, match="restart budget"):
-                index.search_batch(rng.normal(size=(1, 3)), 2)
-            assert not index.healthy
-            assert not index.wait_until_healthy(timeout=2.0)  # dead is terminal
-            states = {health.shard: health.state for health in index.shard_health()}
-            assert states[1] == "dead"
-            # build() is the operator-level recovery: budgets reset, workers
-            # respawn, serving resumes bit-identical
-            index.build(vectors)
-            assert index.healthy
-            queries = rng.normal(size=(2, 3))
-            _assert_same_results(index.search_batch(queries, 3), flat.search_batch(queries, 3))
-
-
-@given(
-    seed=st.integers(0, 2**31 - 1),
-    ops=st.lists(st.sampled_from(["add", "update", "kill"]), max_size=4),
-)
-@settings(max_examples=5, deadline=None)
-def test_chaos_degrade_never_raises_and_recovers(seed, ops):
-    """The acceptance chaos run: every worker killed, no raise, exact recovery.
-
-    A degrade-policy index survives an arbitrary interleaving of mutations
-    and SIGKILLs — every operation in the sequence is followed by a search
-    that must never raise — then every worker is killed at least once more,
-    and after ``wait_until_healthy`` the results are bit-identical to a
-    never-faulted unsharded ``BruteForceIndex`` over the same mutations.
-    """
-
-    rng = np.random.default_rng(seed)
-    d = 4
-    vectors = rng.normal(size=(10, d))
-    flat = BruteForceIndex().build(vectors)
-    index = _chaos_index(2).build(vectors)
-    injector = FaultInjector(seed=seed)
-    for op in ops:
-        if op == "kill":
-            injector.kill_worker(index)
-        elif op == "add":
-            extra = rng.normal(size=(2, d))
-            flat.add(extra)
-            index.add(extra)
-        else:
-            positions = rng.integers(0, flat.size, size=2)
-            replacements = rng.normal(size=(2, d))
-            flat.update_batch(positions, replacements)
-            index.update_batch(positions, replacements)
-        index.search_batch(rng.normal(size=(2, d)), 3)  # must never raise
-    # guarantee every worker dies at least once this example
-    assert index.wait_until_healthy(timeout=30.0)
-    for shard in range(index.num_shards):
-        assert injector.kill_worker(index, shard=shard) == shard
-        index.search_batch(rng.normal(size=(1, d)), 3)  # must never raise
-    assert injector.kills >= index.num_shards
-    assert index.wait_until_healthy(timeout=30.0)
-    assert all(health.state == "live" for health in index.shard_health())
-    queries = rng.normal(size=(4, d))
-    _assert_same_results(index.search_batch(queries, 5), flat.search_batch(queries, 5))
-
-
-# --------------------------------------------------------------------- #
-# pipe faults: lost and late replies
-# --------------------------------------------------------------------- #
-class TestPipeFaults:
-    def test_dropped_reply_recycles_innocent_worker(self, rng):
-        vectors = rng.normal(size=(10, 3))
-        flat = BruteForceIndex().build(vectors)
-        queries = rng.normal(size=(2, 3))
-        with ProcessShardedIndex(
-            num_shards=2,
-            initial_capacity=8,
-            failure_policy="degrade",
-            response_timeout=0.6,
-            restart_backoff=0.01,
-        ) as index:
-            index.build(vectors)
-            injector = FaultInjector(seed=0)
-            injector.drop_replies(index, shard=1, count=1)
-            results = index.search_batch(queries, 3)
-            assert results.degraded  # the reply vanished; the shard timed out
-            assert index.wait_until_healthy(timeout=30.0)
-            assert index.restarts_total == 1
-            # the respawned worker got a fresh, honest pipe
-            assert not isinstance(index._slots[1].conn, _FlakyPipe)
-            _assert_same_results(index.search_batch(queries, 3), flat.search_batch(queries, 3))
-
-    def test_short_delay_is_slow_but_correct(self, rng):
-        vectors = rng.normal(size=(10, 3))
-        flat = BruteForceIndex().build(vectors)
-        queries = rng.normal(size=(2, 3))
-        with ProcessShardedIndex(
-            num_shards=2, initial_capacity=8, failure_policy="degrade", restart_backoff=0.01
-        ) as index:
-            index.build(vectors)
-            FaultInjector(seed=0).delay_replies(index, shard=0, seconds=0.2)
-            results = index.search_batch(queries, 3)  # late < timeout: full answer
-            assert not getattr(results, "degraded", False)
-            _assert_same_results(results, flat.search_batch(queries, 3))
-            assert index.restarts_total == 0
-
-    def test_long_delay_times_out_then_recovers(self, rng):
-        vectors = rng.normal(size=(10, 3))
-        flat = BruteForceIndex().build(vectors)
-        queries = rng.normal(size=(2, 3))
-        with ProcessShardedIndex(
-            num_shards=2,
-            initial_capacity=8,
-            failure_policy="degrade",
-            response_timeout=0.5,
-            restart_backoff=0.01,
-        ) as index:
-            index.build(vectors)
-            FaultInjector(seed=0).delay_replies(index, shard=0, seconds=2.0)
-            results = index.search_batch(queries, 3)
-            assert results.degraded
-            assert index.wait_until_healthy(timeout=30.0)
-            assert index.restarts_total >= 1
-            _assert_same_results(index.search_batch(queries, 3), flat.search_batch(queries, 3))
+        index = ShardedIndex(num_shards=2).build(vectors)
+        FaultInjector().fail_shard(index, 1, times=2)
+        for _ in range(2):
+            with pytest.raises(InjectedFault, match="shard 1"):
+                index.search_batch(queries, 3)
+        _assert_same_results(index.search_batch(queries, 3), flat.search_batch(queries, 3))
 
 
 # --------------------------------------------------------------------- #
@@ -350,7 +79,6 @@ def fault_server(tiny_dataset, trained_fism):
         candidate_list_size=20,
         merger_epochs=1,
         num_shards=2,
-        shard_backend="process",
         failure_policy="degrade",
         cache_capacity=64,
         seed=3,
@@ -365,9 +93,8 @@ class TestServingStackFaults:
     def test_health_snapshot_on_healthy_stack(self, fault_server):
         report = fault_server.health()
         assert isinstance(report, HealthReport)
-        assert report.healthy
-        assert report.workers_alive == 2 and len(report.shards) == 2
-        assert report.restarts_total == 0
+        assert report.degraded_requests == 0 and report.served_degraded == 0
+        assert report.recommend_failures == 0 and report.served_stale == 0
         assert report.cache is not None and len(report.cache.layers) == 4
 
     def test_degraded_recommend_is_served_but_never_cached(self, fault_server):
@@ -377,18 +104,17 @@ class TestServingStackFaults:
         # fit() warms the neighbors layer for the validation users, which
         # would mask the outage — degrade behavior needs a cold cache
         cache.clear()
-        FaultInjector(seed=0).kill_worker(index)
+        FaultInjector().fail_shard(index, 0)
         first = server.recommend(1, k=5)
         assert server.served_degraded == 1
         assert isinstance(first, list)
         # nothing index-derived from the degraded pass was memoized
         assert len(cache.recommendations) == 0
         assert len(cache.neighbors) == 0
+        assert len(cache.scores) == 0
         report = server.health()
-        assert report.served_degraded == 1 and report.degraded_requests >= 1
-        assert index.wait_until_healthy(timeout=30.0)
-        assert server.health().restarts_total >= 1
-        healed = server.recommend(1, k=5)
+        assert report.served_degraded == 1 and report.degraded_requests == 1
+        healed = server.recommend(1, k=5)  # the injected fault is spent
         assert len(cache.recommendations) == 1  # healthy answers are cached
         hits_before = cache.recommendations.stats.hits
         assert server.recommend(1, k=5) == healed
@@ -475,36 +201,35 @@ class TestServingStackFaults:
 
 
 # --------------------------------------------------------------------- #
-# the thread backend honors the same failure-policy contract
+# the failure-policy contract on the sharded index
 # --------------------------------------------------------------------- #
 class TestThreadBackendDegrade:
-    @staticmethod
-    def _sabotage(index, shard):
-        def explode(*args, **kwargs):
-            raise RuntimeError("shard backend exploded")
-
-        index._shards[shard].search_batch = explode
-
     def test_degrade_serves_survivors(self, rng):
         vectors = rng.normal(size=(12, 4))
+        flat = BruteForceIndex().build(vectors)
         survivors = _survivor_baseline(vectors, dead_shard=0, num_shards=2)
         queries = rng.normal(size=(3, 4))
         index = ShardedIndex(num_shards=2, failure_policy="degrade").build(vectors)
-        self._sabotage(index, 0)
+        FaultInjector().fail_shard(index, 0)
         results = index.search_batch(queries, 4)
         assert isinstance(results, SearchResults) and results.degraded
         assert index.degraded_requests == 1
+        # the degraded answer is exactly the surviving shard's rows
         _assert_same_results(results, survivors.search_batch(queries, 4))
+        healed = index.search_batch(queries, 4)
+        assert not healed.degraded and index.degraded_requests == 1
+        _assert_same_results(healed, flat.search_batch(queries, 4))
 
     def test_degrade_with_thread_fanout_and_total_outage(self, rng):
         vectors = rng.normal(size=(12, 4))
         queries = rng.normal(size=(2, 4))
+        injector = FaultInjector()
         with ShardedIndex(num_shards=2, num_threads=2, failure_policy="degrade") as index:
             index.build(vectors)
-            self._sabotage(index, 1)
+            injector.fail_shard(index, 1, times=2)
             results = index.search_batch(queries, 3)
             assert results.degraded and index.degraded_requests == 1
-            self._sabotage(index, 0)
+            injector.fail_shard(index, 0)
             empty = index.search_batch(queries, 3)
             assert empty.degraded and len(empty) == 2
             for ids, scores in empty:
@@ -512,8 +237,8 @@ class TestThreadBackendDegrade:
 
     def test_raise_policy_propagates_shard_errors(self, rng):
         index = ShardedIndex(num_shards=2).build(rng.normal(size=(8, 3)))
-        self._sabotage(index, 0)
-        with pytest.raises(RuntimeError, match="exploded"):
+        FaultInjector().fail_shard(index, 0)
+        with pytest.raises(InjectedFault, match="shard 0"):
             index.search_batch(rng.normal(size=(1, 3)), 2)
         assert index.degraded_requests == 0
 
@@ -526,7 +251,5 @@ class TestThreadBackendDegrade:
     def test_failure_policy_validation(self):
         with pytest.raises(ValueError, match="failure_policy"):
             ShardedIndex(failure_policy="bogus")
-        with pytest.raises(ValueError, match="failure_policy"):
-            ProcessShardedIndex(failure_policy="bogus")
         with pytest.raises(ValueError, match="failure_policy"):
             SCCFConfig(failure_policy="bogus")

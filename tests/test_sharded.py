@@ -192,7 +192,7 @@ class TestNeighborhoodSharding:
         )
         assert isinstance(component.index, IVFIndex)
 
-    def test_index_factory_supplies_shard_backends(self):
+    def test_index_factory_builds_each_shard(self):
         component = UserNeighborhoodComponent(
             num_neighbors=5,
             num_shards=2,
@@ -224,6 +224,17 @@ class TestNeighborhoodSharding:
     def test_sccf_config_num_shards_reaches_index(self, trained_fism):
         sccf = SCCF(trained_fism, SCCFConfig(num_neighbors=5, merger_epochs=1, num_shards=2))
         assert isinstance(sccf.neighborhood.index, ShardedIndex)
+
+    def test_server_close_cascades_to_the_index_thread_pool(self, tiny_dataset, trained_fism):
+        config = SCCFConfig(
+            num_neighbors=8, candidate_list_size=20, merger_epochs=1, num_shards=2, seed=3
+        )
+        sccf = SCCF(trained_fism, config).fit(tiny_dataset, fit_ui_model=False)
+        index = sccf.neighborhood.index
+        with RealTimeServer(sccf, tiny_dataset) as server:
+            server.recommend(0, k=5)
+            assert index._executor is not None  # the fan-out pool is live
+        assert index._executor is None  # server -> SCCF -> neighborhood -> index
 
     def test_sccf_rejects_explicit_index_plus_num_shards(self, trained_fism):
         """An explicit index would silently override the sharding knob."""

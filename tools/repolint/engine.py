@@ -2,9 +2,8 @@
 
 The engine is deliberately *whole-run* scoped: rules receive every parsed
 module plus a cross-module class index, because the invariants they encode
-span files (``ProcessShardedIndex`` lives two modules away from the
-``SharedMatrix`` it owns, and "is this an index class?" is a question about
-the transitive base-class chain).
+span files ("is this an index class?" is a question about the transitive
+base-class chain).
 """
 
 from __future__ import annotations
@@ -75,12 +74,6 @@ class Module:
     def enclosing_function(self, node: ast.AST) -> Optional[ast.AST]:
         for anc in self.ancestors(node):
             if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return anc
-        return None
-
-    def enclosing_class(self, node: ast.AST) -> Optional[ast.ClassDef]:
-        for anc in self.ancestors(node):
-            if isinstance(anc, ast.ClassDef):
                 return anc
         return None
 
@@ -169,13 +162,6 @@ class ClassIndex:
             for base in current.base_names:
                 stack.extend(self.by_name.get(base, []))
         return order
-
-    def find_method(self, info: ClassInfo, name: str) -> Optional[ast.FunctionDef]:
-        for cls in self.mro_infos(info):
-            method = cls.methods().get(name)
-            if method is not None:
-                return method
-        return None
 
     def assigns_self_attr(self, info: ClassInfo, attr: str) -> bool:
         """Whether the class (or a base) ever writes ``self.<attr>``."""

@@ -1,4 +1,4 @@
-"""The eight serving-stack invariant rules (RL001–RL008).
+"""The seven serving-stack invariant rules (RL001–RL008; RL002 is retired).
 
 Each rule encodes one convention the serving stack depends on for
 correctness; the module docstring of :mod:`tools.repolint` and the README's
@@ -13,7 +13,7 @@ import re
 from typing import Iterator, List, Optional, Set, Tuple
 
 from .cfg import clean_unbumped_exits
-from .engine import ClassInfo, LintRun, Module
+from .engine import LintRun, Module
 from .findings import Finding, rule
 
 Hit = Tuple[Finding, ast.AST]
@@ -56,13 +56,6 @@ def _assign_targets(stmt: ast.stmt) -> List[ast.expr]:
     if isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
         return [stmt.target]
     return []
-
-
-def _enclosing_statement(module: Module, node: ast.AST) -> Optional[ast.stmt]:
-    current: Optional[ast.AST] = node
-    while current is not None and not isinstance(current, ast.stmt):
-        current = module.parents.get(current)
-    return current
 
 
 def _src(expr: ast.AST) -> str:
@@ -176,106 +169,6 @@ def check_epoch_bump(module: Module, run: LintRun) -> Iterator[Hit]:
                         ),
                         method,
                     )
-
-
-# ---------------------------------------------------------------------- #
-# RL002 — shm-lifecycle
-# ---------------------------------------------------------------------- #
-
-_SHM_CONSTRUCTORS = {"SharedMemory", "SharedMatrix"}
-
-
-def _is_shm_acquisition(call: ast.Call) -> bool:
-    func = call.func
-    if isinstance(func, ast.Name) and func.id in _SHM_CONSTRUCTORS:
-        return True
-    if isinstance(func, ast.Attribute):
-        if func.attr in _SHM_CONSTRUCTORS:  # shared_memory.SharedMemory(...)
-            return True
-        if func.attr == "attach" and isinstance(func.value, ast.Name):
-            return func.value.id in _SHM_CONSTRUCTORS  # SharedMatrix.attach(...)
-    return False
-
-
-def _released_in_finally(module: Module, stmt: ast.stmt, var: str) -> bool:
-    # The idiomatic shape is acquire-then-guard — the try/finally is usually a
-    # *sibling after* the assignment, not an ancestor — so search every
-    # try/finally in the enclosing scope for a close()/unlink() on the var.
-    scope: ast.AST = module.enclosing_function(stmt) or module.tree
-    for anc in ast.walk(scope):
-        if isinstance(anc, ast.Try) and anc.finalbody:
-            for final_stmt in anc.finalbody:
-                for node in ast.walk(final_stmt):
-                    if (
-                        isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr in ("close", "unlink")
-                        and _root_name(node.func.value) == var
-                    ):
-                        return True
-    return False
-
-
-@rule(
-    "RL002",
-    "shm-lifecycle",
-    "SharedMemory/SharedMatrix acquisitions must reach close()/unlink()",
-)
-def check_shm_lifecycle(module: Module, run: LintRun) -> Iterator[Hit]:
-    for node in ast.walk(module.tree):
-        if not (isinstance(node, ast.Call) and _is_shm_acquisition(node)):
-            continue
-        if any(isinstance(anc, ast.withitem) for anc in module.ancestors(node)):
-            continue  # context manager releases on exit
-        stmt = _enclosing_statement(module, node)
-        if stmt is None:
-            continue
-        if isinstance(stmt, ast.Return):
-            continue  # ownership transferred to the caller
-        ok = False
-        detail = "segment is acquired and never released"
-        targets = _assign_targets(stmt)
-        for target in targets:
-            if (
-                isinstance(target, (ast.Attribute, ast.Subscript))
-                and _root_name(target) == "self"
-            ):
-                cls = module.enclosing_class(stmt)
-                owner: Optional[ClassInfo] = None
-                if cls is not None:
-                    for info in run.classes.by_name.get(cls.name, []):
-                        if info.node is cls:
-                            owner = info
-                if owner is not None and run.classes.find_method(owner, "close"):
-                    ok = True
-                else:
-                    detail = (
-                        "segment is stored on self but the owning class "
-                        "defines no close()"
-                    )
-            elif isinstance(target, ast.Name):
-                if _released_in_finally(module, stmt, target.id):
-                    ok = True
-                else:
-                    detail = (
-                        f"local '{target.id}' holds the segment with no "
-                        "try/finally close()/unlink()"
-                    )
-        if not ok:
-            yield (
-                Finding(
-                    path=module.path,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    code="RL002",
-                    message=f"unreleased shared-memory acquisition: {detail}",
-                    fixit=(
-                        "wrap in try/finally or `with`, return it to transfer "
-                        "ownership, or store it on a class that close()s it"
-                    ),
-                ),
-                node,
-            )
 
 
 # ---------------------------------------------------------------------- #
@@ -594,7 +487,7 @@ def check_unbounded_telemetry(module: Module, run: LintRun) -> Iterator[Hit]:
 
 
 # ---------------------------------------------------------------------- #
-# RL006 — worker-protocol
+# RL006 — base-exception-swallow
 # ---------------------------------------------------------------------- #
 
 
@@ -623,42 +516,11 @@ def _reraises(handler: ast.ExceptHandler) -> bool:
 
 @rule(
     "RL006",
-    "worker-protocol",
-    "pipe recv must be poll/timeout-guarded; except must not swallow BaseException",
+    "base-exception-swallow",
+    "except must not swallow BaseException without re-raising",
 )
-def check_worker_protocol(module: Module, run: LintRun) -> Iterator[Hit]:
+def check_base_exception_swallow(module: Module, run: LintRun) -> Iterator[Hit]:
     for node in ast.walk(module.tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "recv"
-        ):
-            enclosing = module.enclosing_function(node)
-            has_poll = enclosing is not None and any(
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr == "poll"
-                for sub in ast.walk(enclosing)
-            )
-            if not has_poll:
-                receiver = _src(node.func.value)
-                yield (
-                    Finding(
-                        path=module.path,
-                        line=node.lineno,
-                        col=node.col_offset,
-                        code="RL006",
-                        message=(
-                            f"{receiver}.recv() with no poll()/timeout in the "
-                            "same function; a dead worker blocks forever"
-                        ),
-                        fixit=(
-                            "guard the recv behind conn.poll(timeout) so the "
-                            "supervisor's deadline machinery stays in control"
-                        ),
-                    ),
-                    node,
-                )
         if isinstance(node, ast.ExceptHandler) and _names_base_exception(node.type):
             if not _reraises(node):
                 yield (
