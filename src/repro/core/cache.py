@@ -354,8 +354,8 @@ class ServingCache:
         """Cache-free configuration for snapshot persistence.
 
         Snapshots never persist cache *entries* — they are derivable state
-        that the restored server re-warms (``prefill_cache``) — only the
-        shape needed to rebuild an equivalent empty cache.
+        that live traffic re-warms on the restored server — only the shape
+        needed to rebuild an equivalent empty cache.
         """
 
         return {"capacity": self.capacity, "max_score_bytes": self.max_score_bytes}

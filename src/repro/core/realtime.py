@@ -46,13 +46,14 @@ user becomes retrievable as other users' neighbor after her first click.
 from __future__ import annotations
 
 import itertools
+import logging
 import numbers
 import threading
 import time
-from collections import Counter, deque
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -80,6 +81,8 @@ __all__ = [
     "RecommendRequest",
     "EventBuffer",
 ]
+
+_log = logging.getLogger(__name__)
 
 
 def _as_id(value: object, name: str) -> int:
@@ -181,15 +184,12 @@ class MaintenanceReport:
 
     ``supported`` is ``False`` when the neighbor index has no maintenance
     surface (e.g. a plain brute-force index — nothing to re-cluster);
-    imbalance fields are then ``None``.  ``prefilled_users`` counts how many
-    head users had their serving-cache entries re-warmed after a retrain
-    (0 when nothing retrained, no cache is attached, or prefill was off).
+    imbalance fields are then ``None``.
 
-    ``shadow`` records whether the retrain ran blue/green — cloned into a
-    shadow index and atomically published — rather than in place;
-    ``journaled_mutations`` counts the mutations that arrived while the
-    shadow was building and were replayed onto it before the swap.
-    ``error`` carries the stringified failure of a shadow pass that was
+    Every retrain runs blue/green — cloned into a shadow index and
+    atomically published; ``journaled_mutations`` counts the mutations that
+    arrived while the shadow was building and were replayed onto it before
+    the swap.  ``error`` carries the stringified failure of a build that was
     contained (the live index kept serving, untouched).
     """
 
@@ -199,15 +199,17 @@ class MaintenanceReport:
     imbalance_after: Optional[float] = None
     threshold: Optional[float] = None
     duration_ms: float = 0.0
-    prefilled_users: int = 0
-    shadow: bool = False
     journaled_mutations: int = 0
     error: Optional[str] = None
 
 
 @dataclass
 class _ShadowBuild:
-    """Book-keeping for one in-flight background shadow retrain."""
+    """Book-keeping for one shadow retrain, from clone to publish.
+
+    ``thread`` is set only by the background driver; the blocking driver
+    re-clusters on the calling thread.
+    """
 
     shadow: Any
     imbalance_before: float
@@ -215,12 +217,6 @@ class _ShadowBuild:
     started: float
     thread: Optional[threading.Thread] = None
     error: Optional[BaseException] = None
-
-
-@dataclass
-class _UserState:
-    history: List[int] = field(default_factory=list)
-    embedding: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -282,11 +278,6 @@ class RealTimeServer:
         When set, attach a :class:`MaintenanceScheduler` that calls
         :meth:`maintain` after every ``maintenance_every`` observed events,
         so a skewed IVF index is re-clustered without any caller-side timer.
-    activity_window:
-        Number of most recent requests (observes and recommends, per event)
-        whose user ids are remembered for head-user statistics — the
-        population :meth:`prefill_cache` draws the "most-frequent recent
-        users" from.  Bounded like the latency windows.
     default_deadline_ms:
         Per-request serving deadline applied to every :meth:`recommend` that
         does not pass its own ``deadline_ms``.  A finished-but-late request
@@ -320,7 +311,6 @@ class RealTimeServer:
         dataset: RecDataset,
         latency_window: int = 4096,
         maintenance_every: Optional[int] = None,
-        activity_window: int = 4096,
         default_deadline_ms: Optional[float] = None,
         wal_dir: Optional["str | Path"] = None,
         wal_fsync: str = "batch",
@@ -330,8 +320,6 @@ class RealTimeServer:
             raise ValueError("SCCF must be fitted before serving")
         if latency_window <= 0:
             raise ValueError("latency_window must be positive")
-        if activity_window <= 0:
-            raise ValueError("activity_window must be positive")
         if default_deadline_ms is not None and default_deadline_ms <= 0:
             raise ValueError("default_deadline_ms must be positive")
         self.sccf = sccf
@@ -347,9 +335,10 @@ class RealTimeServer:
         self.deadline_misses = 0
         self.num_items = dataset.num_items
         self._serial = next(RealTimeServer._serials)
-        self._states: Dict[int, _UserState] = {}
-        for user, sequence in dataset.train.user_sequences().items():
-            self._states[user] = _UserState(history=list(sequence))
+        #: live per-user interaction histories (training + streamed events)
+        self._states: Dict[int, List[int]] = {
+            user: list(sequence) for user, sequence in dataset.train.user_sequences().items()
+        }
         self.latencies: Deque[LatencyBreakdown] = deque(maxlen=latency_window)
         #: per-call recommend latencies in ms — tracked separately from the
         #: ingestion breakdowns so a read-heavy workload's serving cost is
@@ -363,9 +352,6 @@ class RealTimeServer:
         #: the call's own wall time; the async front-end passes its enqueue
         #: timestamps (``request_starts``) so queue wait is included.
         self.observe_request_latencies: Deque[float] = deque(maxlen=latency_window)
-        #: user ids of the most recent requests (observes + recommends) —
-        #: the head-user population for post-retrain cache prefill
-        self._recent_active: Deque[int] = deque(maxlen=activity_window)
         #: the most recent MaintenanceReport (success or contained failure)
         self.last_maintenance: Optional[MaintenanceReport] = None
         #: the in-flight background shadow retrain, if any
@@ -502,20 +488,17 @@ class RealTimeServer:
         touched: List[int] = []
         seen: set = set()
         for user_id, item_id in validated:
-            self._recent_active.append(user_id)
-            self._states.setdefault(user_id, _UserState()).history.append(item_id)
+            self._states.setdefault(user_id, []).append(item_id)
             if user_id not in seen:
                 seen.add(user_id)
                 touched.append(user_id)
-        histories = [self._states[user].history for user in touched]
+        histories = [self._states[user] for user in touched]
 
         start = time.perf_counter()
         embeddings = np.asarray(
             self.sccf.ui_model.infer_user_embeddings_batch(histories), dtype=np.float64
         )
         inferring_ms = (time.perf_counter() - start) * 1000.0
-        for row, user in enumerate(touched):
-            self._states[user].embedding = embeddings[row]
 
         # Keep the index in sync so these users can serve as others' neighbors;
         # cold-start users beyond the fitted range grow the pool.
@@ -576,12 +559,7 @@ class RealTimeServer:
     # ------------------------------------------------------------------ #
     # index maintenance (off the hot path)
     # ------------------------------------------------------------------ #
-    def maintain(
-        self,
-        imbalance_threshold: Optional[float] = None,
-        prefill_users: Optional[int] = None,
-        shadow: bool = True,
-    ) -> MaintenanceReport:
+    def maintain(self, imbalance_threshold: Optional[float] = None) -> MaintenanceReport:
         """Re-cluster the neighbor index if streamed adds have skewed it.
 
         Streaming :meth:`observe` appends cold-start users to whichever IVF
@@ -596,117 +574,139 @@ class RealTimeServer:
         cells a query probes.  No-op (``supported=False``) for indexes
         without a maintenance surface, e.g. brute force.
 
-        With ``shadow=True`` (the default) and a cloneable index the retrain
-        runs **blue/green**: the live rows are cloned into a shadow index,
-        re-clustering happens there, mutations that land meanwhile are
-        journaled and replayed onto the shadow, and the result is published
-        through one atomic reference swap — the published index is
-        bit-identical to what an in-place retrain would have produced, and a
-        retrain failure leaves the live index serving untouched (the failure
-        is recorded on ``last_maintenance`` and re-raised).  ``shadow=False``
-        forces the legacy in-place path, which mutates the serving index
-        mid-retrain.  This synchronous form still blocks the caller either
-        way; see :meth:`begin_shadow_maintenance` for the non-blocking
-        variant the scheduler's background mode uses.
-
-        ``prefill_users=K``: a retrain bumps the index epoch, which drops
-        every epoch-validated serving-cache entry at once — the next request
-        from *every* repeat visitor would pay a full recompute.  Passing K
-        re-warms the cache for the K most-frequent recent users right here,
-        off the hot path (see :meth:`prefill_cache`), so the post-retrain
-        hit-rate cliff lands on maintenance instead of on live traffic.
+        The retrain always runs **blue/green**: the live rows are cloned
+        into a shadow index, re-clustering happens there, mutations that
+        land meanwhile are journaled and replayed onto the shadow, and the
+        result is published through one atomic reference swap — the
+        published index is bit-identical to what the index's own
+        ``retrain()`` would have produced in place, and a retrain failure
+        leaves the live index serving untouched (the failure is recorded on
+        ``last_maintenance`` and re-raised).  This is the blocking driver:
+        the re-cluster runs on the calling thread, which is what journal
+        replay (:meth:`catch_up`) needs; see
+        :meth:`begin_shadow_maintenance` for the non-blocking driver the
+        scheduler's background mode uses.  Both share :meth:`_begin_build`
+        and :meth:`_finish_build`, so they report, publish and journal
+        identically.
         """
 
-        if prefill_users is not None and prefill_users <= 0:
-            raise ValueError("prefill_users must be positive")
+        build = self._begin_build(imbalance_threshold)
+        if isinstance(build, MaintenanceReport):
+            return build
+        self._run_build(build)
+        return self._finish_build(build)
+
+    def _begin_build(self, threshold: Optional[float]) -> Union[MaintenanceReport, _ShadowBuild]:
+        """Decide whether to retrain; if so clone the live index and open the journal.
+
+        Returns the finished report when no build is needed (index has no
+        maintenance surface, or imbalance at or below the threshold), else
+        the :class:`_ShadowBuild` whose ``shadow.retrain()`` the driver runs
+        before handing it to :meth:`_finish_build`.  Raises if a background
+        build is already in flight.
+        """
+
         if self._shadow_build is not None:
             raise RuntimeError(
                 "a background shadow maintenance build is already running; poll it first"
             )
-        index = self.sccf.neighborhood.index
+        neighborhood = self.sccf.neighborhood
+        index = neighborhood.index
         if not (hasattr(index, "imbalance") and hasattr(index, "retrain")):
             report = MaintenanceReport(supported=False)
             self.last_maintenance = report
             return report
-        if imbalance_threshold is None:
-            imbalance_threshold = getattr(index, "retrain_threshold", None)
-        if imbalance_threshold is None:
-            imbalance_threshold = DEFAULT_RETRAIN_THRESHOLD
+        if threshold is None:
+            threshold = getattr(index, "retrain_threshold", None)
+        if threshold is None:
+            threshold = DEFAULT_RETRAIN_THRESHOLD
         start = time.perf_counter()
         before = index.imbalance()
-        retrained = before > imbalance_threshold
-        use_shadow = shadow and hasattr(index, "clone")
-        journaled = 0
-        if retrained:
-            if use_shadow:
-                journaled = self._shadow_retrain(index, before, imbalance_threshold, start)
-            else:
-                index.retrain()
-        live = self.sccf.neighborhood.index  # re-read: a shadow publish swapped it
-        prefilled = (
-            len(self.prefill_cache(prefill_users))
-            if retrained and prefill_users is not None
-            else 0
-        )
-        report = MaintenanceReport(
-            supported=True,
-            retrained=retrained,
-            imbalance_before=before,
-            imbalance_after=live.imbalance() if retrained else before,
-            threshold=imbalance_threshold,
-            duration_ms=(time.perf_counter() - start) * 1000.0,
-            prefilled_users=prefilled,
-            shadow=use_shadow and retrained,
-            journaled_mutations=journaled,
-        )
-        self.last_maintenance = report
-        if retrained:
-            # A retrain consumes the index RNG stream and bumps the epoch —
-            # replay must re-run it at exactly this stream position for the
-            # recovered server to stay bit-identical.  The *resolved*
-            # threshold is recorded so replay retrains unconditionally-equal.
-            self._journal_maintain(imbalance_threshold, use_shadow)
-        return report
-
-    def _journal_maintain(self, threshold: float, shadow: bool) -> None:
-        """Journal one retraining maintenance pass (no-op without a WAL)."""
-
-        if self.wal is None or self._replaying:
-            return
-        self._wal_applied_seq = self.wal.append(encode_maintain(threshold, shadow))
-
-    def _shadow_retrain(
-        self, index: Any, before: float, threshold: float, start: float
-    ) -> int:
-        """Clone → journal → retrain → publish; contain any failure.
-
-        Runs synchronously on the calling thread.  On failure the journal is
-        closed, a failure report lands on ``last_maintenance`` (so
-        :meth:`health` surfaces it) and the exception propagates — the live
-        index was never touched, so serving continues bit-identically.
-        Returns the number of journaled mutations replayed onto the shadow.
-        """
-
-        neighborhood = self.sccf.neighborhood
-        shadow = index.clone()
-        neighborhood.begin_index_journal()
-        try:
-            shadow.retrain()
-            return self._publish_shadow(shadow)
-        except Exception as exc:
-            if neighborhood.index_journal_active:
-                neighborhood.end_index_journal()
-            self.last_maintenance = MaintenanceReport(
+        if before <= threshold:
+            report = MaintenanceReport(
                 supported=True,
-                retrained=False,
                 imbalance_before=before,
                 imbalance_after=before,
                 threshold=threshold,
                 duration_ms=(time.perf_counter() - start) * 1000.0,
-                shadow=True,
-                error=f"{type(exc).__name__}: {exc}",
             )
-            raise
+            self.last_maintenance = report
+            return report
+        build = _ShadowBuild(
+            shadow=index.clone(), imbalance_before=before, threshold=threshold, started=start
+        )
+        neighborhood.begin_index_journal()
+        _log.info("maintenance build started: imbalance %.3f > threshold %.3f", before, threshold)
+        return build
+
+    @staticmethod
+    def _run_build(build: _ShadowBuild) -> None:
+        """Re-cluster the shadow — all either driver runs between begin and finish.
+
+        Touches nothing serving shares (the shadow is a detached clone), so
+        it is safe on a worker thread with no lock on the hot path.  A
+        failure is parked on the build for :meth:`_finish_build` to contain.
+        """
+
+        try:
+            build.shadow.retrain()
+        except Exception as exc:
+            build.error = exc
+
+    def _finish_build(self, build: _ShadowBuild) -> MaintenanceReport:
+        """Publish a re-clustered shadow, or contain and report its failure.
+
+        On failure the journal is closed, a failure report lands on
+        ``last_maintenance`` (so :meth:`health` surfaces it) and the
+        exception propagates — the live index was never touched, so serving
+        continues bit-identically.  On success the shadow is published, the
+        one success report is produced and the pass is journaled to the WAL.
+        """
+
+        neighborhood = self.sccf.neighborhood
+        error = build.error
+        journaled = 0
+        if error is None:
+            try:
+                journaled = self._publish_shadow(build.shadow)
+            except Exception as exc:
+                error = exc
+        if error is not None and neighborhood.index_journal_active:
+            neighborhood.end_index_journal()
+        report = MaintenanceReport(
+            supported=True,
+            retrained=error is None,
+            imbalance_before=build.imbalance_before,
+            imbalance_after=(
+                neighborhood.index.imbalance() if error is None else build.imbalance_before
+            ),
+            threshold=build.threshold,
+            duration_ms=(time.perf_counter() - build.started) * 1000.0,
+            journaled_mutations=journaled,
+            error=None if error is None else f"{type(error).__name__}: {error}",
+        )
+        self.last_maintenance = report
+        if error is not None:
+            _log.warning("maintenance build failed, live index untouched: %s", report.error)
+            raise error
+        _log.info(
+            "maintenance build published: %d journaled mutations, %.1f ms, epoch %d",
+            journaled,
+            report.duration_ms,
+            neighborhood.index.epoch,
+        )
+        # A retrain consumes the index RNG stream and bumps the epoch —
+        # replay must re-run it at exactly this stream position for the
+        # recovered server to stay bit-identical, so the pass is journaled at
+        # *publish* time, the position at which the new index became visible,
+        # with the *resolved* threshold.  Replay re-clusters a clone taken at
+        # this position, so it holds the same rows and lands on the same
+        # epoch; only the cell assignments may differ from a background build
+        # whose clone predated interleaved observes (the blocking driver has
+        # no such window and replays bit-identically).
+        if self.wal is not None and not self._replaying:
+            self._wal_applied_seq = self.wal.append(encode_maintain(build.threshold))
+        return report
 
     def _publish_shadow(self, shadow: Any) -> int:
         """Atomically publish a fully built shadow index.
@@ -750,70 +750,32 @@ class RealTimeServer:
         path.
 
         Returns the finished :class:`MaintenanceReport` when no build was
-        needed (index unsupported or not cloneable, or imbalance below
-        threshold) and ``None`` when a build was launched — call
+        needed (index unsupported, or imbalance below threshold) and
+        ``None`` when a build was launched — call
         :meth:`poll_shadow_maintenance` from the serving thread to publish
         it.  Raises if a build is already in flight.
         """
 
-        if self._shadow_build is not None:
-            raise RuntimeError("a background shadow maintenance build is already running")
-        index = self.sccf.neighborhood.index
-        if not (
-            hasattr(index, "imbalance")
-            and hasattr(index, "retrain")
-            and hasattr(index, "clone")
-        ):
-            report = MaintenanceReport(supported=False)
-            self.last_maintenance = report
-            return report
-        if imbalance_threshold is None:
-            imbalance_threshold = getattr(index, "retrain_threshold", None)
-        if imbalance_threshold is None:
-            imbalance_threshold = DEFAULT_RETRAIN_THRESHOLD
-        start = time.perf_counter()
-        before = index.imbalance()
-        if before <= imbalance_threshold:
-            report = MaintenanceReport(
-                supported=True,
-                retrained=False,
-                imbalance_before=before,
-                imbalance_after=before,
-                threshold=imbalance_threshold,
-                duration_ms=(time.perf_counter() - start) * 1000.0,
-                shadow=True,
-            )
-            self.last_maintenance = report
-            return report
-        shadow = index.clone()
-        self.sccf.neighborhood.begin_index_journal()
-        build = _ShadowBuild(
-            shadow=shadow, imbalance_before=before, threshold=imbalance_threshold, started=start
+        build = self._begin_build(imbalance_threshold)
+        if isinstance(build, MaintenanceReport):
+            return build
+        build.thread = threading.Thread(
+            target=self._run_build, args=(build,), name="shadow-retrain", daemon=True
         )
-
-        def _run() -> None:
-            try:
-                shadow.retrain()
-            except Exception as exc:  # recorded, re-raised at poll time
-                build.error = exc
-
-        build.thread = threading.Thread(target=_run, name="shadow-retrain", daemon=True)
         self._shadow_build = build
         build.thread.start()
         return None
 
-    def poll_shadow_maintenance(
-        self, prefill_users: Optional[int] = None, wait: bool = False
-    ) -> Optional[MaintenanceReport]:
+    def poll_shadow_maintenance(self, wait: bool = False) -> Optional[MaintenanceReport]:
         """Publish a finished background shadow build (serving-thread half).
 
         Returns ``None`` when no build is in flight or the build is still
         running (``wait=True`` blocks until it finishes instead).  When the
-        build is done: replays the journaled mutations, swaps the reference,
-        optionally re-warms the cache (``prefill_users``), and returns the
-        success report.  A build that failed is contained exactly like the
-        synchronous path — journal closed, live index untouched, failure
-        report on ``last_maintenance`` — and its exception re-raised here.
+        build is done: replays the journaled mutations, swaps the reference
+        and returns the success report.  A build that failed is contained
+        exactly like the blocking driver's — journal closed, live index
+        untouched, failure report on ``last_maintenance`` — and its
+        exception re-raised here.
         """
 
         build = self._shadow_build
@@ -824,67 +786,7 @@ class RealTimeServer:
             return None
         build.thread.join()
         self._shadow_build = None
-        neighborhood = self.sccf.neighborhood
-        if build.error is not None:
-            if neighborhood.index_journal_active:
-                neighborhood.end_index_journal()
-            self.last_maintenance = MaintenanceReport(
-                supported=True,
-                retrained=False,
-                imbalance_before=build.imbalance_before,
-                imbalance_after=build.imbalance_before,
-                threshold=build.threshold,
-                duration_ms=(time.perf_counter() - build.started) * 1000.0,
-                shadow=True,
-                error=f"{type(build.error).__name__}: {build.error}",
-            )
-            raise build.error
-        journaled = self._publish_shadow(build.shadow)
-        prefilled = len(self.prefill_cache(prefill_users)) if prefill_users is not None else 0
-        report = MaintenanceReport(
-            supported=True,
-            retrained=True,
-            imbalance_before=build.imbalance_before,
-            imbalance_after=self.sccf.neighborhood.index.imbalance(),
-            threshold=build.threshold,
-            duration_ms=(time.perf_counter() - build.started) * 1000.0,
-            prefilled_users=prefilled,
-            shadow=True,
-            journaled_mutations=journaled,
-        )
-        self.last_maintenance = report
-        # Journaled at *publish* time — the stream position at which the new
-        # index became visible.  Replay re-clusters a clone taken at this
-        # position, so it holds the same rows and lands on the same epoch;
-        # only the cell assignments may differ from a build whose clone
-        # predated the interleaved observes (synchronous maintenance has no
-        # such window and replays bit-identically).
-        self._journal_maintain(build.threshold, True)
-        return report
-
-    def prefill_cache(self, num_users: int) -> List[int]:
-        """Re-warm the serving cache for the ``num_users`` most-frequent recent users.
-
-        Scores each head user through the normal serving path (a batch of one
-        per user, exactly the shape :meth:`recommend` computes in — so the
-        warmed entries are bit-identical to what a live request would cache),
-        which populates the ``embeddings``, ``neighbors`` and ``scores``
-        layers under the *current* epoch/version counters.  Head users come
-        from the bounded recent-activity window (observes + recommends).
-        Returns the users warmed; empty when no cache is attached or no
-        activity was recorded.  Runs off the hot path — call it after any
-        event that invalidates en masse (a retrain, an eviction storm).
-        """
-
-        if num_users <= 0:
-            raise ValueError("num_users must be positive")
-        if self.sccf.cache is None or not self._recent_active:
-            return []
-        head = [user for user, _ in Counter(self._recent_active).most_common(num_users)]
-        for user in head:
-            state = self._states.get(user, _UserState())
-            self.sccf.score_items_batch([user], histories=[state.history])
-        return head
+        return self._finish_build(build)
 
     # ------------------------------------------------------------------ #
     # serving
@@ -1015,7 +917,6 @@ class RealTimeServer:
         stales: List[Any] = [MISS] * len(prepared)
         pending: List[int] = []
         for i, req in enumerate(prepared):
-            self._recent_active.append(req.user_id)
             if req.k <= 0:
                 results[i] = []
                 self._finish_recommend(req.start, req.deadline_ms)
@@ -1055,7 +956,7 @@ class RealTimeServer:
             for i in pending:
                 rows.setdefault(prepared[i].user_id, len(rows))
             users = list(rows)
-            histories = [self._states.get(user, _UserState()).history for user in users]
+            histories = [self._states.get(user, []) for user in users]
             index = self.sccf.neighborhood.index
             degraded_before = getattr(index, "degraded_requests", 0)
             try:
@@ -1091,8 +992,7 @@ class RealTimeServer:
                         scores = score_rows[rows[req.user_id]]
                         scores = np.where(scores > _NEG_INF, scores, -np.inf)
                         if req.exclude_seen:
-                            history = self._states.get(req.user_id, _UserState()).history
-                            scores = exclude_seen_items(scores, history)
+                            scores = exclude_seen_items(scores, self._states.get(req.user_id, []))
                         result = self._top_items(scores, req.k)
                         ranked[group] = result
                     else:
@@ -1129,8 +1029,8 @@ class RealTimeServer:
             self.last_maintenance.error if self.last_maintenance is not None else None
         )
         if last_error is None and scheduler is not None:
-            # in-place (non-shadow) failures never produce a report object —
-            # the scheduler's containment record is the only trace
+            # a pass that raised before its build existed, or a checkpoint,
+            # leaves no report — the scheduler's containment record is the trace
             last_error = scheduler.last_failure
         wal_stats = self.wal.stats() if self.wal is not None else None
         return HealthReport(
@@ -1190,7 +1090,7 @@ class RealTimeServer:
         offsets = np.zeros(len(users) + 1, dtype=np.int64)
         values: List[int] = []
         for i, user in enumerate(users):
-            history = self._states[user].history
+            history = self._states[user]
             offsets[i + 1] = offsets[i] + len(history)
             values.extend(history)
         state = {
@@ -1198,7 +1098,6 @@ class RealTimeServer:
                 "format": "realtime-server",
                 "default_deadline_ms": self.default_deadline_ms,
                 "latency_window": int(self.latencies.maxlen or 0),
-                "activity_window": int(self._recent_active.maxlen or 0),
                 "maintenance_every": (
                     self.scheduler.every_events if self.scheduler is not None else None
                 ),
@@ -1265,7 +1164,6 @@ class RealTimeServer:
             "maintenance_every": (
                 None if meta["maintenance_every"] is None else int(meta["maintenance_every"])
             ),
-            "activity_window": int(meta["activity_window"]),
             "default_deadline_ms": meta["default_deadline_ms"],
         }
         kwargs.update(overrides)
@@ -1273,12 +1171,10 @@ class RealTimeServer:
         histories = state["histories"]
         offsets = histories["offsets"]
         values = histories["values"]
-        states: Dict[int, _UserState] = {}
-        for i, user in enumerate(histories["users"].tolist()):
-            states[int(user)] = _UserState(
-                history=values[int(offsets[i]) : int(offsets[i + 1])].tolist()
-            )
-        server._states = states
+        server._states = {
+            int(user): values[int(offsets[i]) : int(offsets[i + 1])].tolist()
+            for i, user in enumerate(histories["users"].tolist())
+        }
         server._wal_applied_seq = payload.wal_seq
         if server.wal is not None:
             server.catch_up(server.wal.directory)
@@ -1325,7 +1221,7 @@ class RealTimeServer:
                     events = [self._validate_event(user, item) for user, item in body]
                     self._apply_observe_batch(events, None, time.perf_counter())
                 else:
-                    self.maintain(float(body["threshold"]), shadow=bool(body["shadow"]))
+                    self.maintain(float(body["threshold"]))
             finally:
                 self._replaying = False
             self._wal_applied_seq = seq
@@ -1344,7 +1240,7 @@ class RealTimeServer:
             self.wal.sync()
 
     def history(self, user_id: int) -> List[int]:
-        return list(self._states.get(user_id, _UserState()).history)
+        return list(self._states.get(user_id, []))
 
     def average_latency(self) -> Optional[LatencyBreakdown]:
         """Per-event mean *ingestion* latency over the bounded window (Table III rows).
@@ -1431,17 +1327,17 @@ class MaintenanceScheduler:
     launches the re-cluster on a worker thread and every subsequent
     ``notify`` polls :meth:`RealTimeServer.poll_shadow_maintenance` until
     the build publishes — ingestion never stalls for the length of a
-    retrain.  ``shadow=False`` (synchronous mode only) forces the legacy
-    in-place retrain, which mutates the serving index mid-pass.
+    retrain.  The default runs the same blue/green build on the notifying
+    thread (:meth:`RealTimeServer.maintain`).
 
     ``checkpoint_every=N`` adds WAL checkpointing on the same off-hot-path
     cadence machinery: every N observed events the server snapshots into
-    ``snapshot_dir`` (``keep=snapshot_keep`` generations), which records the
-    covered journal sequence and prunes committed segments — so a durable
-    server's journal (and its recovery replay time) stays bounded without
-    any caller-side timer.  Checkpoint failures are contained exactly like
-    maintenance failures (counted in ``checkpoint_failures``, recorded on
-    ``last_failure``, never propagated into the triggering observe).
+    ``snapshot_dir``, which records the covered journal sequence and prunes
+    committed segments — so a durable server's journal (and its recovery
+    replay time) stays bounded without any caller-side timer.  Checkpoint
+    failures are contained exactly like maintenance failures (counted in
+    ``checkpoint_failures``, recorded on ``last_failure``, never propagated
+    into the triggering observe).
     """
 
     def __init__(
@@ -1449,34 +1345,19 @@ class MaintenanceScheduler:
         server: "RealTimeServer",
         every_events: int = 1024,
         imbalance_threshold: Optional[float] = None,
-        report_window: int = 64,
-        prefill_users: Optional[int] = None,
-        shadow: bool = True,
         background: bool = False,
         checkpoint_every: Optional[int] = None,
         snapshot_dir: Optional["str | Path"] = None,
-        snapshot_keep: int = 2,
     ) -> None:
         if every_events <= 0:
             raise ValueError("every_events must be positive")
-        if report_window <= 0:
-            raise ValueError("report_window must be positive")
-        if prefill_users is not None and prefill_users <= 0:
-            raise ValueError("prefill_users must be positive")
         if checkpoint_every is not None and checkpoint_every <= 0:
             raise ValueError("checkpoint_every must be positive")
         if checkpoint_every is not None and snapshot_dir is None:
             raise ValueError("checkpoint_every requires snapshot_dir")
-        if snapshot_keep < 1:
-            raise ValueError("snapshot_keep must be at least 1")
         self.server = server
         self.every_events = every_events
         self.imbalance_threshold = imbalance_threshold
-        #: when set, every retraining pass re-warms the serving cache for
-        #: this many head users (see RealTimeServer.prefill_cache)
-        self.prefill_users = prefill_users
-        #: blue/green (clone → retrain → swap) instead of in-place retrain
-        self.shadow = shadow
         #: run the re-cluster on a worker thread, publishing at a later notify
         self.background = background
         self.events_since_maintenance = 0
@@ -1492,11 +1373,10 @@ class MaintenanceScheduler:
         #: the most recent reports, in order — bounded like the server's
         #: latency windows (a long-running server triggers forever, so an
         #: unbounded list would be a memory leak)
-        self.reports: Deque[MaintenanceReport] = deque(maxlen=report_window)
+        self.reports: Deque[MaintenanceReport] = deque(maxlen=64)
         #: WAL checkpointing cadence (None: scheduler never snapshots)
         self.checkpoint_every = checkpoint_every
         self.snapshot_dir = None if snapshot_dir is None else Path(snapshot_dir)
-        self.snapshot_keep = snapshot_keep
         self.events_since_checkpoint = 0
         #: snapshots taken (and journals pruned) by this scheduler
         self.checkpoints_run = 0
@@ -1560,11 +1440,7 @@ class MaintenanceScheduler:
         else:
             self.events_since_maintenance = 0
             try:
-                report = self.server.maintain(
-                    self.imbalance_threshold,
-                    prefill_users=self.prefill_users,
-                    shadow=self.shadow,
-                )
+                report = self.server.maintain(self.imbalance_threshold)
             except Exception as exc:
                 self._record_failure(exc)
                 return None
@@ -1582,7 +1458,7 @@ class MaintenanceScheduler:
         self.events_since_checkpoint = 0
         assert self.snapshot_dir is not None  # enforced by the constructor
         try:
-            self.server.save_snapshot(self.snapshot_dir, keep=self.snapshot_keep)
+            self.server.save_snapshot(self.snapshot_dir)
         except Exception as exc:
             # Same containment contract as maintenance: the observe that
             # happened to trip the counter must not fail because a snapshot
@@ -1596,7 +1472,7 @@ class MaintenanceScheduler:
         """Advance (and account for) the in-flight background build, if any."""
 
         try:
-            report = self.server.poll_shadow_maintenance(prefill_users=self.prefill_users)
+            report = self.server.poll_shadow_maintenance()
         except Exception as exc:
             self._record_failure(exc)
             return None

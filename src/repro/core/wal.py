@@ -230,16 +230,18 @@ def encode_events(events: Sequence[Tuple[int, int]]) -> bytes:
     return bytes([_KIND_EVENTS]) + array.tobytes()
 
 
-def encode_maintain(threshold: float, shadow: bool) -> bytes:
+def encode_maintain(threshold: float) -> bytes:
     """Pack a ``maintain`` pass that retrained (threshold resolved at run time)."""
 
-    body = json.dumps({"threshold": float(threshold), "shadow": bool(shadow)})
+    body = json.dumps({"threshold": float(threshold)})
     return bytes([_KIND_MAINTAIN]) + body.encode("utf-8")
 
 
 def decode_payload(payload: bytes) -> Tuple[str, Any]:
     """Inverse of the two encoders: ``("events", [(u, i), ...])`` or
-    ``("maintain", {"threshold": ..., "shadow": ...})``."""
+    ``("maintain", {"threshold": ...})`` — journals written before every
+    retrain became a shadow build also carry a ``"shadow"`` key, which is
+    passed through here and ignored by ``catch_up``."""
 
     if not payload:
         raise WALError("empty WAL payload")

@@ -96,10 +96,13 @@ class FaultInjector:
     def fail_maintenance(self, server: Any, times: int = 1) -> None:
         """Make the server's next ``times`` ``maintain()`` calls raise.
 
-        Patches the *instance*, so the :class:`MaintenanceScheduler` (which
-        calls ``self.server.maintain``) hits the fault while other servers
-        stay healthy; after ``times`` failures the patch removes itself and
-        the original method resumes.
+        Intercepts the *blocking* driver only.  Patches the *instance*, so a
+        default :class:`MaintenanceScheduler` (which calls
+        ``self.server.maintain``) hits the fault while other servers stay
+        healthy; ``begin_``/``poll_shadow_maintenance`` (a ``background=True``
+        scheduler) never see it — patch ``repro.ann.ivf.kmeans`` to fail both
+        drivers' builds.  After ``times`` failures the patch removes itself
+        and the original method resumes.
         """
 
         if times <= 0:

@@ -472,14 +472,14 @@ class TestChaos:
         assert server.recommend_failures == 0
 
         # the swap happened exactly once, with the mid-burst mutations replayed
-        assert report is not None and report.retrained and report.shadow
+        assert report is not None and report.retrained
         assert report.journaled_mutations >= 1
         assert server.sccf.neighborhood.index is not live
         assert server.sccf.neighborhood.index.epoch >= epoch_at_publish + 1
         assert server.health().last_maintenance_error is None
 
         # bit-identity vs. a quiet sync retrain followed by the same mutations
-        control.maintain(imbalance_threshold=0.5, shadow=True)
+        control.maintain(imbalance_threshold=0.5)
         control.observe_batch(list(observes))
         expected = [control.recommend(u, k=5) for u in recommends]
         assert list(third) == expected

@@ -320,7 +320,6 @@ class TestSchedulerCheckpointing:
             every_events=10_000,  # never maintain: isolate the checkpoint path
             checkpoint_every=5,
             snapshot_dir=tmp_path / "snap",
-            snapshot_keep=2,
         )
         users = tiny_dataset.evaluation_users()
         for step in range(12):
@@ -371,10 +370,6 @@ class TestSchedulerCheckpointing:
             MaintenanceScheduler(server, checkpoint_every=0, snapshot_dir=tmp_path)
         with pytest.raises(ValueError, match="snapshot_dir"):
             MaintenanceScheduler(server, checkpoint_every=4)
-        with pytest.raises(ValueError, match="snapshot_keep"):
-            MaintenanceScheduler(
-                server, checkpoint_every=4, snapshot_dir=tmp_path, snapshot_keep=0
-            )
 
 
 class TestHealthAndFailureSurfacing:

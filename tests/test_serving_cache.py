@@ -826,100 +826,12 @@ class TestMaintenanceScheduler:
 
     def test_report_window_bounded(self, fitted_sccf, tiny_dataset):
         server = RealTimeServer(fitted_sccf, tiny_dataset)
-        scheduler = MaintenanceScheduler(server, every_events=1, report_window=3)
-        for _ in range(7):
+        scheduler = MaintenanceScheduler(server, every_events=1)
+        for _ in range(70):
             scheduler.notify(1)
-        assert len(scheduler.reports) == 3
-        assert scheduler.passes_run == 7
+        assert len(scheduler.reports) == 64
+        assert scheduler.passes_run == 70
 
     def test_server_without_scheduler(self, fitted_sccf, tiny_dataset):
         server = RealTimeServer(fitted_sccf, tiny_dataset)
         assert server.scheduler is None
-
-
-class TestWarmCachePrefill:
-    """Post-retrain cache prefill: head users are re-warmed off the hot path."""
-
-    @pytest.fixture()
-    def cached_server(self, tiny_dataset, trained_fism):
-        sccf = SCCF(
-            trained_fism,
-            SCCFConfig(
-                num_neighbors=10,
-                candidate_list_size=30,
-                merger_epochs=2,
-                cache_capacity=64,
-                seed=3,
-            ),
-            neighbor_index=IVFIndex(num_cells=4, n_probe=4, rng=np.random.default_rng(0)),
-        ).fit(tiny_dataset, fit_ui_model=False)
-        return RealTimeServer(sccf, tiny_dataset)
-
-    def test_prefill_picks_most_frequent_recent_users(self, cached_server):
-        for user, asks in ((0, 3), (1, 2), (2, 1)):
-            for _ in range(asks):
-                cached_server.recommend(user, k=5)
-        assert cached_server.prefill_cache(2) == [0, 1]
-
-    def test_prefilled_user_is_served_from_cache_after_retrain(self, cached_server):
-        sccf = cached_server.sccf
-        cached_server.recommend(3, k=5)
-        cached_server.recommend(3, k=5)
-        # A retrain bumps the epoch: every epoch-validated entry is stale.
-        sccf.neighborhood.index.retrain(num_iterations=2)
-        warmed = cached_server.prefill_cache(1)
-        assert warmed == [3]
-        hits_before = sccf.cache.scores.stats.hits
-        result = cached_server.recommend(3, k=5)
-        assert sccf.cache.scores.stats.hits == hits_before + 1
-        # ... and the warmed entry serves exactly what a cold compute would.
-        sccf.cache.clear()
-        assert cached_server.recommend(3, k=5) == result
-
-    def test_maintain_prefills_after_retrain(self, cached_server, trained_fism):
-        cached_server.recommend(0, k=5)
-        cached_server.recommend(1, k=5)
-        # skew the pool the way a drifted stream would, forcing a retrain
-        rng = np.random.default_rng(9)
-        drift = rng.normal(size=(300, trained_fism.embedding_dim))
-        drift[:, 0] += 4.0
-        cached_server.sccf.neighborhood.index.add(drift)
-        report = cached_server.maintain(imbalance_threshold=1.5, prefill_users=2)
-        assert report.retrained
-        assert report.prefilled_users == 2
-        # without a retrain nothing is prefetched (threshold far above skew)
-        assert (
-            cached_server.maintain(imbalance_threshold=50.0, prefill_users=2).prefilled_users
-            == 0
-        )
-
-    def test_prefill_without_cache_or_activity(self, fitted_sccf, tiny_dataset):
-        server = RealTimeServer(fitted_sccf, tiny_dataset)
-        server.recommend(0, k=3)
-        assert server.prefill_cache(4) == []  # no cache attached
-        cached = SCCF(
-            fitted_sccf.ui_model,
-            SCCFConfig(num_neighbors=10, candidate_list_size=30, merger_epochs=2,
-                       cache_capacity=8, seed=3),
-        ).fit(tiny_dataset, fit_ui_model=False)
-        idle = RealTimeServer(cached, tiny_dataset)
-        assert idle.prefill_cache(4) == []  # no recorded activity
-        with pytest.raises(ValueError):
-            idle.prefill_cache(0)
-
-    def test_activity_window_bounds_and_validation(self, fitted_sccf, tiny_dataset):
-        with pytest.raises(ValueError):
-            RealTimeServer(fitted_sccf, tiny_dataset, activity_window=0)
-        server = RealTimeServer(fitted_sccf, tiny_dataset, activity_window=3)
-        for user in (0, 0, 0, 1, 1, 2):
-            server.observe(user, 1)
-        # only the last three events are remembered: 1, 1, 2
-        assert list(server._recent_active) == [1, 1, 2]
-
-    def test_scheduler_prefill_knob(self, cached_server):
-        with pytest.raises(ValueError):
-            MaintenanceScheduler(cached_server, every_events=1, prefill_users=0)
-        scheduler = MaintenanceScheduler(cached_server, every_events=1, prefill_users=3)
-        assert scheduler.prefill_users == 3
-        report = scheduler.notify(1)
-        assert report is not None and report.prefilled_users == 0  # balanced: no retrain

@@ -310,7 +310,7 @@ class TestServerRoundTrip:
         assert restored.recommend(user, k=5) is not None
         # maintenance still works on the restored stack (rng state restored)
         report = restored.maintain(imbalance_threshold=0.5)
-        assert report.retrained and report.shadow
+        assert report.retrained and report.error is None
 
     def test_overrides_replace_saved_config(self, saved_server, tiny_dataset, trained_fism, tmp_path):
         saved_server.save_snapshot(tmp_path)

@@ -8,8 +8,13 @@ and the WAL-specific faults of :class:`repro.testing.FaultInjector`.
 
 from __future__ import annotations
 
+import json
+
+import numpy as np
 import pytest
 
+from repro.ann import IVFIndex
+from repro.core import SCCF, RealTimeServer, SCCFConfig
 from repro.core.wal import (
     MAX_RECORD_BYTES,
     WALError,
@@ -77,9 +82,41 @@ class TestRecordCodec:
         assert decode_payload(payload) == ("events", [(3, 14), (1, 5)])
 
     def test_maintain_payload_roundtrip(self):
-        kind, body = decode_payload(encode_maintain(0.25, True))
+        kind, body = decode_payload(encode_maintain(0.25))
         assert kind == "maintain"
-        assert body == {"threshold": 0.25, "shadow": True}
+        assert body == {"threshold": 0.25}
+
+    @pytest.mark.parametrize("legacy_shadow", [True, False])
+    def test_legacy_shadow_key_decodes_and_replays_identically(
+        self, legacy_shadow, tiny_dataset, trained_fism, tmp_path
+    ):
+        """Journals written while ``maintain`` still had an in-place fork carry
+        a ``"shadow"`` key; such a record decodes and replays to the same
+        state as today's record, whichever value it holds."""
+
+        legacy = b"\x02" + json.dumps({"threshold": 0.5, "shadow": legacy_shadow}).encode()
+        assert decode_payload(legacy) == ("maintain", {"threshold": 0.5, "shadow": legacy_shadow})
+        users = tiny_dataset.evaluation_users()
+        replicas = []
+        for name, maintain_record in (("legacy", legacy), ("current", encode_maintain(0.5))):
+            with WriteAheadLog(tmp_path / name, fsync="always") as wal:
+                wal.append(encode_events([(user, 1) for user in users[:5]]))
+                wal.append(maintain_record)
+                wal.append(encode_events([(users[0], 2), (tiny_dataset.num_users + 1, 3)]))
+            sccf = SCCF(
+                trained_fism,
+                SCCFConfig(num_neighbors=10, candidate_list_size=30, merger_epochs=2, seed=3),
+                neighbor_index=IVFIndex(num_cells=4, n_probe=2, rng=np.random.default_rng(7)),
+            ).fit(tiny_dataset, fit_ui_model=False)
+            replica = RealTimeServer(sccf, tiny_dataset)
+            assert replica.catch_up(tmp_path / name) == 3
+            assert replica.last_maintenance is not None and replica.last_maintenance.retrained
+            replicas.append(replica)
+        old, new = replicas
+        assert old.sccf.neighborhood.index.epoch == new.sccf.neighborhood.index.epoch
+        for user in users:
+            assert old.history(user) == new.history(user)
+            assert old.recommend(user, k=10) == new.recommend(user, k=10)
 
     def test_unknown_payload_kind_raises(self):
         with pytest.raises(WALError):
