@@ -2,7 +2,7 @@
 
 The paper's core systems claim is that the user-based component works in real
 time because user representations are *inferred* (one forward pass) and
-neighborhoods are re-identified with a fast similarity search — unlike
+neighborhoods are identified on demand with a fast similarity search — unlike
 UserKNN, which must recompute sparse user-user similarities on every new
 interaction.
 
@@ -12,7 +12,8 @@ This example:
 2. starts a :class:`~repro.core.RealTimeServer`;
 3. streams a burst of new interactions for a few users, showing how the
    recommendations shift towards the new interest and how long each update
-   took (inferring vs identifying, the Table III breakdown);
+   took (inferring the embedding vs writing it into the neighbor index —
+   identifying the neighbors is paid by the recommend that follows);
 4. runs the same new interactions through UserKNN's transductive update path
    for comparison.
 
@@ -53,14 +54,14 @@ def main() -> None:
         after = server.recommend(user, k=5)
         print(
             f"  user {user:4d} clicked item {new_item:4d}  "
-            f"infer={breakdown.inferring_ms:6.2f}ms  identify={breakdown.identifying_ms:6.2f}ms  "
+            f"infer={breakdown.inferring_ms:6.2f}ms  index={breakdown.indexing_ms:6.2f}ms  "
             f"top-5 before={before}  after={after}"
         )
 
     average = server.average_latency()
     print(
         f"\nSCCF average per-event latency: infer={average.inferring_ms:.2f}ms, "
-        f"identify={average.identifying_ms:.2f}ms, total={average.total_ms:.2f}ms"
+        f"index={average.indexing_ms:.2f}ms, total={average.total_ms:.2f}ms"
     )
 
     print("\nsame burst micro-batched through an EventBuffer (one flush):")
@@ -75,7 +76,7 @@ def main() -> None:
             if flushed is not None:
                 print(
                     f"  flushed {flushed.num_events} events in one batch:  "
-                    f"infer={flushed.inferring_ms:6.2f}ms  identify={flushed.identifying_ms:6.2f}ms  "
+                    f"infer={flushed.inferring_ms:6.2f}ms  index={flushed.indexing_ms:6.2f}ms  "
                     f"(amortized {flushed.total_ms / flushed.num_events:.2f}ms/event)"
                 )
 

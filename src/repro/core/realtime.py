@@ -11,16 +11,14 @@ milliseconds.  :class:`RealTimeServer` maintains, per user:
 
 Two ingestion routes are exposed:
 
-* :meth:`RealTimeServer.observe` — the per-event hot path the paper times in
-  Table III; it reports "inferring time" (the UI forward pass) and
-  "identifying time" (the similarity search) separately so the latency
-  benchmark can print the same rows as the paper.
+* :meth:`RealTimeServer.observe` — the per-event hot path; it reports Table
+  III's "inferring time" (the UI forward pass) and the index write.  Ingest
+  only changes state: *identifying* the neighbors is ``recommend_batch``'s job.
 * :meth:`RealTimeServer.observe_batch` — micro-batched ingestion: a whole
   slice of the click stream is coalesced per user, all touched users'
-  embeddings are refreshed in one batched forward, the index rows are
-  replaced in one vectorized write, and the neighborhoods are re-identified
-  through one batched search.  ``observe`` is ``observe_batch`` with a batch
-  of one, so the two paths cannot drift.
+  embeddings are refreshed in one batched forward and the index rows are
+  replaced in one vectorized write.  ``observe`` is ``observe_batch`` with a
+  batch of one, so the two paths cannot drift.
 
 Serving mirrors ingestion: :meth:`RealTimeServer.recommend_batch` is the
 canonical read path — a whole *window* of concurrent requests is validated
@@ -57,7 +55,7 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..ann import DEFAULT_RETRAIN_THRESHOLD, search_batch
+from ..ann import DEFAULT_RETRAIN_THRESHOLD
 from ..data.datasets import RecDataset
 from ..models.base import exclude_seen_items
 from .cache import MISS
@@ -166,16 +164,17 @@ class LatencyBreakdown:
     For the per-event path this is one event's breakdown; for a micro-batch
     flush it is the total over the whole batch, with ``num_events`` recording
     how many events the batch coalesced (so per-event averages stay
-    comparable across the two paths).
+    comparable across the two paths).  ``inferring_ms`` is the UI forward pass
+    (Table III's *inferring* column), ``indexing_ms`` the neighbor-index write.
     """
 
     inferring_ms: float
-    identifying_ms: float
+    indexing_ms: float
     num_events: int = 1
 
     @property
     def total_ms(self) -> float:
-        return self.inferring_ms + self.identifying_ms
+        return self.inferring_ms + self.indexing_ms
 
 
 @dataclass
@@ -383,11 +382,11 @@ class RealTimeServer:
     def observe(self, user_id: int, item_id: int) -> LatencyBreakdown:
         """Ingest one new interaction and refresh the user's neighborhood state.
 
-        Returns the latency breakdown of the two real-time steps.  The
-        neighborhood *query* itself (identifying similar users) is measured
-        here because the paper's Table III reports "identifying time" — the
-        cost of finding the β neighbors with the refreshed embedding.  This
-        is :meth:`observe_batch` with a batch of one.
+        Returns the latency breakdown of the two state-changing steps:
+        re-inferring the embedding and writing it into the neighbor index.
+        Finding the β neighbors with the refreshed embedding (the paper's
+        "identifying time") is the next :meth:`recommend`'s job.  This is
+        :meth:`observe_batch` with a batch of one.
         """
 
         breakdown = self.observe_batch([(user_id, item_id)])
@@ -431,8 +430,7 @@ class RealTimeServer:
         1. one ``infer_user_embeddings_batch`` forward over the touched users,
         2. one batched index row replacement (``update_users``), growing the
            index first for users streamed in beyond the fitted id range
-           (``add_users``),
-        3. one batched neighborhood search over the fresh embeddings.
+           (``add_users``).
 
         The final state is identical to feeding the same events one at a time
         through :meth:`observe` — only the amortized cost differs.  Returns
@@ -477,12 +475,10 @@ class RealTimeServer:
         exactly the code the original server ran — the precondition for
         bit-identical recovery.
 
-        The closing neighbor search is the paper's Table III *identifying*
-        measurement — what finding ``N_u`` costs once the index holds the
-        fresh embedding — timed against the *inferring* step above.  Its
-        result is deliberately not stored: a neighbor list is only valid for
-        the index epoch it was computed at, and ``recommend`` searches (or
-        reads its epoch-keyed cache) against the index as it stands when asked.
+        It ends when the index holds the fresh embeddings.  No neighbor
+        search runs here: a neighbor list is only valid for the index epoch
+        it was computed at, so ``recommend`` searches (or reads its
+        epoch-keyed cache) against the index as it stands when asked.
         """
 
         touched: List[int] = []
@@ -500,6 +496,7 @@ class RealTimeServer:
         )
         inferring_ms = (time.perf_counter() - start) * 1000.0
 
+        start = time.perf_counter()
         # Keep the index in sync so these users can serve as others' neighbors;
         # cold-start users beyond the fitted range grow the pool.
         neighborhood = self.sccf.neighborhood
@@ -520,19 +517,11 @@ class RealTimeServer:
                 [histories[row] for row in known],
                 embeddings=embeddings[known],
             )
-
-        start = time.perf_counter()
-        search_batch(
-            neighborhood.index,
-            embeddings,
-            neighborhood.num_neighbors,
-            exclude_per_query=[np.asarray([user], dtype=np.int64) for user in touched],
-        )
-        identifying_ms = (time.perf_counter() - start) * 1000.0
+        indexing_ms = (time.perf_counter() - start) * 1000.0
 
         breakdown = LatencyBreakdown(
             inferring_ms=inferring_ms,
-            identifying_ms=identifying_ms,
+            indexing_ms=indexing_ms,
             num_events=len(validated),
         )
         if not self._replaying:
@@ -1256,8 +1245,7 @@ class RealTimeServer:
         total_events = sum(entry.num_events for entry in self.latencies)
         return LatencyBreakdown(
             inferring_ms=float(sum(entry.inferring_ms for entry in self.latencies)) / total_events,
-            identifying_ms=float(sum(entry.identifying_ms for entry in self.latencies))
-            / total_events,
+            indexing_ms=float(sum(entry.indexing_ms for entry in self.latencies)) / total_events,
         )
 
     def average_recommend_latency_ms(self) -> Optional[float]:
@@ -1524,10 +1512,10 @@ class EventBuffer:
     def flush(self) -> Optional[LatencyBreakdown]:
         """Drain the buffer through ``observe_batch``; ``None`` when empty.
 
-        A failing flush (a contained maintenance failure propagating, a
-        shard failure under ``failure_policy="raise"``) puts the whole
-        micro-batch back at the *front* of the buffer before re-raising, so
-        a retrying caller loses nothing and later pushes keep their order.
+        A failing flush (a journal append refused by the disk — raised
+        before any state is touched) puts the whole micro-batch back at the
+        *front* of the buffer before re-raising, so a retrying caller loses
+        nothing and later pushes keep their order.
         """
 
         if not self._events:

@@ -8,7 +8,9 @@ new item":
   re-score.  Its cost grows with the catalog size.
 * **SCCF** — the inductive path: one forward pass of the UI model to re-infer
   the user embedding ("inferring time") plus one similarity-search query over
-  the low-dimensional user index ("identifying time").
+  the low-dimensional user index ("identifying time").  Ingest reports the
+  first and never searches (recommend does, when asked), so the runner times
+  the eq.-11 query itself, against the index right after each ``observe``.
 
 The runner streams one new interaction per sampled user through both systems
 and reports the mean per-event latency, in milliseconds, in the same three
@@ -17,13 +19,16 @@ rows the paper prints (inferring / identifying / total).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..ann import search_batch
 from ..core.realtime import EventBuffer, RealTimeServer
 from ..core.sccf import SCCF
+from ..core.user_neighborhood import UserNeighborhoodComponent
 from ..data.datasets import RecDataset
 from ..models import UserKNN
 from .configs import ExperimentScale, get_scale, load_datasets, make_sasrec, make_sccf
@@ -61,6 +66,30 @@ class RealtimeLatencyRow:
         }
 
 
+def _identify_ms(neighborhood: UserNeighborhoodComponent, users: Sequence[int]) -> float:
+    """Wall ms of eq. 11 for ``users``: current embeddings, self excluded, one batched search."""
+
+    embeddings = np.stack([neighborhood.user_embedding(int(user)) for user in users])
+    start = time.perf_counter()
+    search_batch(
+        neighborhood.index,
+        embeddings,
+        neighborhood.num_neighbors,
+        exclude_per_query=[np.asarray([user], dtype=np.int64) for user in users],
+    )
+    return (time.perf_counter() - start) * 1000.0
+
+
+def _observe_and_identify(server: RealTimeServer, users: Sequence[int], items: Sequence[int]) -> float:
+    """Stream one event per user; mean ms to identify ``N_u`` right after each."""
+
+    samples: List[float] = []
+    for user, item in zip(users, items):
+        server.observe(int(user), int(item))
+        samples.append(_identify_ms(server.sccf.neighborhood, [user]))
+    return float(np.mean(samples))
+
+
 def run_table3(
     scale: str | ExperimentScale = "quick",
     datasets: Optional[Dict[str, RecDataset]] = None,
@@ -96,8 +125,6 @@ def run_table3(
 
         # --- UserKNN: transductive recompute per event ------------------- #
         userknn = UserKNN(num_neighbors=scale.num_neighbors).fit(dataset)
-        import time
-
         knn_samples: List[float] = []
         for user, item in zip(sampled_users, new_items):
             start = time.perf_counter()
@@ -113,23 +140,25 @@ def run_table3(
         )
 
         # --- SCCF: inductive inference + index query --------------------- #
-        # The cached row below must measure the identical workload, so both
-        # go through one helper.
-        def measure_sccf_row(sccf: SCCF, method: str) -> RealtimeLatencyRow:
-            server = RealTimeServer(sccf, dataset)
-            for user, item in zip(sampled_users, new_items):
-                server.observe(int(user), int(item))
-            for user in sampled_users:  # repeat-visitor serving pattern
-                server.recommend(int(user), k=50)
-                server.recommend(int(user), k=50)
-            breakdown = server.average_latency()
+        def sccf_row(server: RealTimeServer, method: str, identifying_ms: float) -> RealtimeLatencyRow:
+            breakdown = server.average_latency()  # event-weighted: amortized ms/event
             return RealtimeLatencyRow(
                 dataset=dataset_name,
                 method=method,
                 inferring_ms=breakdown.inferring_ms if breakdown else 0.0,
-                identifying_ms=breakdown.identifying_ms if breakdown else 0.0,
-                recommend_ms=server.average_recommend_latency_ms(),
+                identifying_ms=identifying_ms,
+                recommend_ms=server.average_recommend_latency_ms(),  # None: never asked
             )
+
+        # The cached row below must measure the identical workload, so both
+        # go through one helper.
+        def measure_sccf_row(sccf: SCCF, method: str) -> RealtimeLatencyRow:
+            server = RealTimeServer(sccf, dataset)
+            identifying_ms = _observe_and_identify(server, sampled_users, new_items)
+            for user in sampled_users:  # repeat-visitor serving pattern
+                server.recommend(int(user), k=50)
+                server.recommend(int(user), k=50)
+            return sccf_row(server, method, identifying_ms)
 
         sasrec = make_sasrec(scale)
         sccf = make_sccf(sasrec, scale)
@@ -137,21 +166,12 @@ def run_table3(
         rows.append(measure_sccf_row(sccf, "SCCF"))
 
         # --- SCCF micro-batched: same events through one EventBuffer flush -- #
-        # average_latency is event-weighted, so this row is directly
-        # comparable to the per-event SCCF row above (amortized ms/event).
         batch_server = RealTimeServer(sccf, dataset)
         with EventBuffer(batch_server, flush_size=max(len(sampled_users), 1)) as buffer:
             for user, item in zip(sampled_users, new_items):
                 buffer.push(int(user), int(item))
-        breakdown = batch_server.average_latency()
-        rows.append(
-            RealtimeLatencyRow(
-                dataset=dataset_name,
-                method="SCCF-batch",
-                inferring_ms=breakdown.inferring_ms if breakdown else 0.0,
-                identifying_ms=breakdown.identifying_ms if breakdown else 0.0,
-            )
-        )
+        batch_identifying_ms = _identify_ms(sccf.neighborhood, sampled_users) / len(sampled_users)
+        rows.append(sccf_row(batch_server, "SCCF-batch", batch_identifying_ms))
 
         # --- SCCF sharded: per-event path over a scatter-gather user index -- #
         # Reuses the already-trained SASRec; only the neighborhood index and
@@ -159,17 +179,8 @@ def run_table3(
         sharded_sccf = make_sccf(sasrec, scale, num_shards=2)
         sharded_sccf.fit(dataset, fit_ui_model=False)
         sharded_server = RealTimeServer(sharded_sccf, dataset)
-        for user, item in zip(sampled_users, new_items):
-            sharded_server.observe(int(user), int(item))
-        breakdown = sharded_server.average_latency()
-        rows.append(
-            RealtimeLatencyRow(
-                dataset=dataset_name,
-                method="SCCF-sharded",
-                inferring_ms=breakdown.inferring_ms if breakdown else 0.0,
-                identifying_ms=breakdown.identifying_ms if breakdown else 0.0,
-            )
-        )
+        sharded_identifying_ms = _observe_and_identify(sharded_server, sampled_users, new_items)
+        rows.append(sccf_row(sharded_server, "SCCF-sharded", sharded_identifying_ms))
 
         # --- SCCF cached: versioned serving cache on the same stack ------ #
         # Same trained SASRec, neighborhood/merger rebuilt with the cache

@@ -415,6 +415,35 @@ class TestChaos:
         assert isinstance(server.recommend(recommends[0], k=5), list)
         assert index.degraded_requests == 2
 
+    def test_observe_resolves_with_a_shard_fault_armed(self, tiny_dataset, trained_fism, tmp_path):
+        """Under ``failure_policy="raise"`` an armed shard fault used to reject
+        the observe's future *after* the event was journaled and applied — a
+        retrying caller applied it twice.  Ingest never searches, so the
+        future resolves and the event lands exactly once."""
+
+        config = SCCFConfig(
+            num_neighbors=8, candidate_list_size=20, merger_epochs=1, num_shards=2, seed=3
+        )
+        sccf = SCCF(trained_fism, config).fit(tiny_dataset, fit_ui_model=False)
+        server = RealTimeServer(sccf, tiny_dataset, wal_dir=tmp_path / "wal")
+        user = int(tiny_dataset.evaluation_users()[0])
+        history, seq = server.history(user), server.wal.last_seq
+        FaultInjector().fail_shard(sccf.neighborhood.index, 0)
+
+        async def drive():
+            async with AsyncFrontend(server, max_batch=4, max_wait_ms=2.0) as frontend:
+                await frontend.observe(user, 3)
+
+        try:
+            asyncio.run(drive())
+            assert server.history(user) == history + [3]
+            assert server.wal.last_seq == seq + 1
+            # the fault is still armed for the first search that comes along
+            with pytest.raises(InjectedFault, match="shard 0"):
+                sccf.neighborhood.neighbors(sccf.neighborhood.user_embedding(user))
+        finally:
+            server.close()
+
     @pytest.fixture()
     def ivf_server(self, tiny_dataset, trained_fism):
         sccf = SCCF(

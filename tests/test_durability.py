@@ -309,6 +309,53 @@ class TestReplicaCatchUp:
         server.close()
 
 
+class TestIngestNeverSearches:
+    def test_observe_recovery_and_catch_up_make_no_index_query(
+        self, durable_server, tiny_dataset, trained_fism, tmp_path, monkeypatch
+    ):
+        """Identifying neighbors is the recommend path's job: live ingest,
+        crash recovery and replica catch-up (across a ``maintain`` record)
+        never query the index, and replay still lands bit-identical."""
+
+        queries = []
+        for name in ("search", "search_batch"):
+            original = getattr(IVFIndex, name)
+
+            def counted(self, *args, _original=original, _name=name, **kwargs):
+                queries.append(_name)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(IVFIndex, name, counted)
+
+        server = durable_server
+        server.save_snapshot(tmp_path / "snap")
+        users = tiny_dataset.evaluation_users()
+        rng = np.random.default_rng(5)
+        server.observe(users[0], 1)
+        server.observe_batch(
+            [(int(rng.choice(users)), int(rng.integers(0, tiny_dataset.num_items))) for _ in range(64)]
+        )
+        newcomer = tiny_dataset.num_users + 2
+        server.observe(newcomer, 2)  # cold start: add_users grows the index
+        assert server.maintain(imbalance_threshold=0.5).retrained
+        server.observe(users[1], 3)
+        FaultInjector().crash_wal_writer(server.wal)
+        recovered = RealTimeServer.load_snapshot(
+            tmp_path / "snap", _sccf(trained_fism), tiny_dataset, wal_dir=tmp_path / "wal"
+        )
+        replica = RealTimeServer.load_snapshot(
+            tmp_path / "snap", _sccf(trained_fism), tiny_dataset
+        )
+        assert replica.catch_up(tmp_path / "wal") == 5
+        assert queries == []
+
+        _assert_parity(server, recovered, tiny_dataset)
+        _assert_parity(server, replica, tiny_dataset)
+        assert recovered.history(newcomer) == replica.history(newcomer) == [2]
+        assert "search_batch" in queries  # the recommends above did search
+        recovered.close()
+
+
 class TestSchedulerCheckpointing:
     def test_checkpoints_on_cadence_and_prunes(self, tiny_dataset, trained_fism, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal", fsync="always", segment_bytes=256)

@@ -28,6 +28,7 @@ from repro.experiments import (
     run_figure1,
     run_table1,
     run_table2,
+    run_table3,
 )
 from repro.experiments.ablations import run_ann_ablation
 
@@ -114,6 +115,23 @@ class TestRunners:
         assert sccf_row.improvements  # relative improvement over FISM computed
         text = format_table2(rows)
         assert "FISMSCCF" in text
+
+    def test_table3_times_identifying_outside_ingest(self):
+        """``observe`` never searches, so every SCCF row's *identifying*
+        column comes from the runner's explicit query after each event."""
+
+        datasets = load_datasets(TEST_SCALE)
+        rows = run_table3(TEST_SCALE, datasets=datasets, num_events=5)
+        assert [row.method for row in rows] == [
+            "UserKNN", "SCCF", "SCCF-batch", "SCCF-sharded", "SCCF-cached"
+        ]
+        assert {row.dataset for row in rows} == {"tiny"}
+        userknn, *sccf_rows = rows
+        assert userknn.inferring_ms == 0.0 and userknn.identifying_ms > 0.0
+        for row in sccf_rows:
+            assert row.inferring_ms > 0.0 and row.identifying_ms > 0.0
+            assert row.total_ms == row.inferring_ms + row.identifying_ms
+        assert "identifying (ms)" in format_table3(rows)
 
     def test_figure1_headline(self):
         result = run_figure1(num_users=60, num_days=15, seed=2)

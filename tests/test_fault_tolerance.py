@@ -16,7 +16,8 @@ them:
   degrade-but-never-cache rule for partial answers, the stale-or-empty
   fallback when scoring raises, request-boundary id hardening, deadline
   accounting, and :class:`MaintenanceScheduler` exception containment with
-  exponential backoff.
+  exponential backoff.  Ingest never searches the index, so an armed shard
+  fault cannot fail (and make a caller retry) an observe that took effect.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import pytest
 
 from repro.ann import BruteForceIndex, ShardedIndex
 from repro.ann.sharded import SearchResults
-from repro.core import SCCF, MaintenanceScheduler, RealTimeServer, SCCFConfig
+from repro.core import SCCF, EventBuffer, MaintenanceScheduler, RealTimeServer, SCCFConfig
 from repro.core.realtime import HealthReport
 from repro.testing import FaultInjector, InjectedFault
 
@@ -72,18 +73,22 @@ class TestFaultInjector:
 # --------------------------------------------------------------------- #
 # the full serving stack under faults
 # --------------------------------------------------------------------- #
-@pytest.fixture(scope="module")
-def fault_server(tiny_dataset, trained_fism):
+def _two_shard_sccf(tiny_dataset, trained_fism, failure_policy: str) -> SCCF:
     config = SCCFConfig(
         num_neighbors=8,
         candidate_list_size=20,
         merger_epochs=1,
         num_shards=2,
-        failure_policy="degrade",
+        failure_policy=failure_policy,
         cache_capacity=64,
         seed=3,
     )
-    sccf = SCCF(trained_fism, config).fit(tiny_dataset, fit_ui_model=False)
+    return SCCF(trained_fism, config).fit(tiny_dataset, fit_ui_model=False)
+
+
+@pytest.fixture(scope="module")
+def fault_server(tiny_dataset, trained_fism):
+    sccf = _two_shard_sccf(tiny_dataset, trained_fism, "degrade")
     server = RealTimeServer(sccf, tiny_dataset, default_deadline_ms=10_000.0)
     yield server
     server.close()
@@ -120,6 +125,36 @@ class TestServingStackFaults:
         assert server.recommend(1, k=5) == healed
         assert cache.recommendations.stats.hits == hits_before + 1
         assert server.served_degraded == 1  # healthy serves don't count
+
+    @pytest.mark.parametrize("policy", ["raise", "degrade"])
+    def test_shard_fault_never_fails_an_applied_observe(
+        self, policy, tiny_dataset, trained_fism, tmp_path
+    ):
+        """The event is journaled and applied once; the fault waits for a search."""
+
+        sccf = _two_shard_sccf(tiny_dataset, trained_fism, policy)
+        server = RealTimeServer(sccf, tiny_dataset, wal_dir=tmp_path / "wal")
+        try:
+            user = 1
+            history, seq = server.history(user), server.wal.last_seq
+            FaultInjector().fail_shard(sccf.neighborhood.index, 0)
+            buffer = EventBuffer(server, flush_size=1)
+            breakdown = buffer.push(user, 3)
+            assert breakdown is not None and breakdown.num_events == 1
+            assert len(buffer) == 0  # nothing put back for a retry
+            assert server.history(user) == history + [3]
+            assert server.wal.last_seq == seq + 1
+            # still armed: the next cache-missing recommend is what meets it
+            answer = server.recommend(user, k=5)
+            if policy == "degrade":
+                assert answer and server.served_degraded == 1
+                assert server.recommend_failures == 0
+            else:
+                assert answer == [] and server.recommend_failures == 1
+            assert server.recommend(user, k=5)  # spent: served in full again
+            assert server.history(user) == history + [3]
+        finally:
+            server.close()
 
     def test_scoring_failure_serves_stale_then_empty(self, fault_server, tiny_dataset):
         server = fault_server

@@ -100,7 +100,16 @@ class TestLatencyWindow:
         assert breakdown is not None and breakdown.num_events == 8
         average = server.average_latency()
         assert average.inferring_ms == pytest.approx(breakdown.inferring_ms / 8)
-        assert average.identifying_ms == pytest.approx(breakdown.identifying_ms / 8)
+        assert average.indexing_ms == pytest.approx(breakdown.indexing_ms / 8)
+        server.observe(*_event_stream(tiny_dataset, num_events=1)[0])
+        single = server.latencies[-1]
+        average = server.average_latency()  # 9 events over two entries
+        assert average.inferring_ms == pytest.approx(
+            (breakdown.inferring_ms + single.inferring_ms) / 9
+        )
+        assert average.indexing_ms == pytest.approx(
+            (breakdown.indexing_ms + single.indexing_ms) / 9
+        )
 
 
 class TestEventBuffer:
