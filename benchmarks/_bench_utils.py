@@ -5,11 +5,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from typing import Any
+from typing import Any, List, Tuple
 
 import numpy as np
 
+from repro.core import SCCF, SCCFConfig
+from repro.data import load_preset
 from repro.experiments import QUICK
+from repro.models import FISM
 
 #: The scale used by every benchmark: small synthetic datasets, short training
 #: budgets, capped evaluation users — minutes on a laptop CPU, same shape as
@@ -27,6 +30,9 @@ BENCH_SCALE = QUICK.with_overrides(
     neighbor_grid=(25, 50, 100),
     datasets=("games-small", "ml-1m-small"),
 )
+
+#: Where :func:`emit_bench_json` writes unless ``$BENCH_RESULTS_DIR`` is set.
+DEFAULT_RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), ".out")
 
 
 def run_once(benchmark, func, *args, **kwargs):
@@ -57,19 +63,77 @@ def _sanitize(value: Any) -> Any:
 
 
 def emit_bench_json(name: str, payload: Any) -> str:
-    """Write a machine-readable ``BENCH_<name>.json`` next to the run.
+    """Write a machine-readable ``BENCH_<name>.json`` into the results directory.
 
     Every benchmark emits its result rows through this helper so the perf
     trajectory can be tracked across PRs by diffing JSON instead of scraping
-    stdout.  The destination directory defaults to the current working
-    directory and can be redirected with ``$BENCH_RESULTS_DIR``.  Returns the
-    written path.
+    stdout.  The destination directory defaults to the git-ignored
+    ``benchmarks/.out/`` (wherever the bench is run from) and can be
+    redirected with ``$BENCH_RESULTS_DIR``.  Returns the written path.
     """
 
-    directory = os.environ.get("BENCH_RESULTS_DIR", ".")
+    directory = os.environ.get("BENCH_RESULTS_DIR", DEFAULT_RESULTS_DIR)
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"BENCH_{name}.json")
     with open(path, "w") as handle:
         json.dump({"bench": name, "results": _sanitize(payload)}, handle, indent=2, default=str)
         handle.write("\n")
     return path
+
+
+def build_sccf(num_users: int, num_items: int, dim: int, num_neighbors: int, seed: int = 13):
+    """A fitted SCCF on a synthetic dataset sized for the serving workload."""
+
+    dataset = load_preset(
+        "tiny",
+        seed=seed,
+        num_users=num_users,
+        num_items=num_items,
+        avg_interactions=20.0,
+        name="bench-cache",
+    )
+    model = FISM(embedding_dim=dim, num_epochs=0, seed=seed).fit(dataset)
+    sccf = SCCF(
+        model,
+        SCCFConfig(num_neighbors=num_neighbors, candidate_list_size=100, merger_epochs=1, seed=seed),
+    )
+    sccf.fit(dataset, fit_ui_model=False)
+    return sccf, dataset
+
+
+def zipf_probabilities(num_users: int, alpha: float) -> np.ndarray:
+    ranks = np.arange(1, num_users + 1, dtype=np.float64)
+    weights = ranks ** -alpha
+    return weights / weights.sum()
+
+
+def make_workload(
+    num_requests: int,
+    num_users: int,
+    num_items: int,
+    alpha: float,
+    observe_prob: float,
+    mean_session: float,
+    k: int,
+    seed: int = 29,
+) -> List[Tuple]:
+    """A repeat-visitor request stream: Zipfian visitors, bursty sessions.
+
+    Returns ops ``("recommend", user, k)`` / ``("observe", user, item)``.
+    Visitor identity is a random permutation of the Zipf ranks so the hot
+    users are not simply ids 0..n.
+    """
+
+    rng = np.random.default_rng(seed)
+    probabilities = zipf_probabilities(num_users, alpha)
+    identity = rng.permutation(num_users)
+    ops: List[Tuple] = []
+    while len(ops) < num_requests:
+        visitor = int(identity[rng.choice(num_users, p=probabilities)])
+        session_length = 1 + rng.geometric(1.0 / mean_session)
+        for _ in range(min(session_length, num_requests - len(ops))):
+            if rng.random() < observe_prob:
+                ops.append(("observe", visitor, int(rng.integers(0, num_items))))
+            else:
+                ops.append(("recommend", visitor, k))
+    return ops

@@ -1,7 +1,8 @@
 """Ablation — the learned integrating MLP vs simple score interpolation.
 
-Extension beyond the paper: DESIGN.md calls out the per-user normalization +
-MLP fusion (eqs. 15-16) as a design choice worth isolating.  This bench
+Extension beyond the paper: the per-user normalization + MLP fusion
+(eqs. 15-16) is a design choice worth isolating (README.md, "Deviations from
+the paper", describes the merger's score-skip head).  This bench
 compares the full SCCF merger against the UI/UU components alone and against
 a fixed linear interpolation ``λ·r̃^UI + (1-λ)·r̃^UU`` for several λ.
 """

@@ -51,8 +51,7 @@ import numpy as np
 from repro.core import RealTimeServer, ServingCache
 from repro.serving import AsyncFrontend
 
-from _bench_utils import emit_bench_json
-from bench_cache_serving import build_sccf, make_workload
+from _bench_utils import build_sccf, emit_bench_json, make_workload
 
 
 def _percentiles(latencies_ms: List[float]) -> Dict[str, float]:

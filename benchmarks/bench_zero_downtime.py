@@ -35,8 +35,8 @@ Run it directly (no pytest needed)::
     PYTHONPATH=src python benchmarks/bench_zero_downtime.py --offered-ratio 0.8
     PYTHONPATH=src python benchmarks/bench_zero_downtime.py --smoke   # tiny CI configuration
 
-Emits ``BENCH_zero_downtime.json`` next to the run (redirect with
-``$BENCH_RESULTS_DIR``).
+Emits ``BENCH_zero_downtime.json`` into ``benchmarks/.out/`` (redirect
+with ``$BENCH_RESULTS_DIR``).
 """
 
 from __future__ import annotations
@@ -54,8 +54,7 @@ from repro.core import SCCF, RealTimeServer, SCCFConfig
 from repro.data import load_preset
 from repro.models import FISM
 
-from _bench_utils import emit_bench_json
-from bench_cache_serving import make_workload
+from _bench_utils import emit_bench_json, make_workload
 
 #: IVF imbalance is always >= 1.0, so this threshold forces the retrain path
 FORCE_RETRAIN = 0.5

@@ -5,7 +5,8 @@ scale defined in ``_bench_utils.BENCH_SCALE``: small synthetic datasets, short
 training budgets and capped evaluation user counts, so the whole suite
 (``pytest benchmarks/ --benchmark-only``) finishes on a laptop CPU in minutes
 while preserving the qualitative shape of each result.  The printed rows
-mirror the paper's tables; EXPERIMENTS.md records paper-vs-measured values.
+mirror the paper's tables; README.md ("Deviations from the paper") records
+where the reproduction departs from the paper's method.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ not appear in either candidate list are skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,13 +46,33 @@ def normalize_scores(scores: np.ndarray) -> np.ndarray:
 
 @dataclass
 class CandidateFeatures:
-    """Features of one user's candidate set, ready for the integrating MLP."""
+    """One user's candidate set; eq. (16)'s rows are assembled on demand, never stored."""
 
     user_id: int
     candidate_items: np.ndarray       # (C,)
-    features: np.ndarray              # (C, 2d + 2)
-    ui_scores: np.ndarray             # raw r^UI over the candidates
-    uu_scores: np.ndarray             # raw r^UU over the candidates
+    user_embedding: np.ndarray        # m_u, (d,)
+    item_embeddings: np.ndarray       # the shared (num_items, d) table, not a copy
+    ui_norm: np.ndarray               # r̃^UI over the candidates
+    uu_norm: np.ndarray               # r̃^UU over the candidates
+
+    @property
+    def features(self) -> np.ndarray:
+        """The full ``(C, 2d + 2)`` matrix ``[m_u ⊕ q_i ⊕ r̃^UI ⊕ r̃^UU]``."""
+
+        return self.rows(slice(None))
+
+    def rows(self, index: Union[slice, np.ndarray], out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Bitwise ``features[index]`` (repeats allowed), copied into ``out`` when given."""
+
+        items = self.candidate_items[index]
+        width = len(self.user_embedding)
+        if out is None:
+            out = np.empty((len(items), width + self.item_embeddings.shape[1] + 2))
+        out[:, :width] = self.user_embedding
+        out[:, width:-2] = self.item_embeddings[items]
+        out[:, -2] = self.ui_norm[index]
+        out[:, -1] = self.uu_norm[index]
+        return out
 
 
 class IntegratingMLP:
@@ -163,27 +183,18 @@ class IntegratingMLP:
         ui_scores: np.ndarray,
         uu_scores: np.ndarray,
     ) -> CandidateFeatures:
-        """Assemble ``[m_u ⊕ q_i ⊕ r̃^UI ⊕ r̃^UU]`` for one user's candidates."""
+        """The parts of ``[m_u ⊕ q_i ⊕ r̃^UI ⊕ r̃^UU]`` for one user's candidates."""
 
         candidate_items = np.asarray(candidate_items, dtype=np.int64)
         if candidate_items.ndim != 1 or len(candidate_items) == 0:
             raise ValueError("candidate_items must be a non-empty 1-d array")
-        ui_candidate = np.asarray(ui_scores, dtype=np.float64)[candidate_items]
-        uu_candidate = np.asarray(uu_scores, dtype=np.float64)[candidate_items]
-        ui_norm = normalize_scores(ui_candidate)
-        uu_norm = normalize_scores(uu_candidate)
-
-        user_block = np.tile(np.asarray(user_embedding, dtype=np.float64), (len(candidate_items), 1))
-        item_block = np.asarray(item_embeddings, dtype=np.float64)[candidate_items]
-        features = np.concatenate(
-            [user_block, item_block, ui_norm[:, None], uu_norm[:, None]], axis=1
-        )
         return CandidateFeatures(
             user_id=user_id,
             candidate_items=candidate_items,
-            features=features,
-            ui_scores=ui_candidate,
-            uu_scores=uu_candidate,
+            user_embedding=np.asarray(user_embedding, dtype=np.float64),
+            item_embeddings=np.asarray(item_embeddings, dtype=np.float64),
+            ui_norm=normalize_scores(np.asarray(ui_scores, dtype=np.float64)[candidate_items]),
+            uu_norm=normalize_scores(np.asarray(uu_scores, dtype=np.float64)[candidate_items]),
         )
 
     # ------------------------------------------------------------------ #
@@ -206,20 +217,20 @@ class IntegratingMLP:
         discrimination task: each user contributes one softmax over
         ``[positive, sampled negatives]`` rows from her candidate set.  The
         features, the network and the positive/negative definitions are
-        unchanged; only the loss aggregation differs (documented in
-        EXPERIMENTS.md).  The full candidate sets of the held-out validation
+        unchanged; only the loss aggregation differs (README, "Deviations
+        from the paper").  The full candidate sets of the held-out validation
         users drive early stopping, mirroring the paper's "randomly split ten
         percent of the whole users as the validation set to tune the
         integrating model".
         """
 
         self.generation += 1
-        usable: List[Tuple[np.ndarray, int]] = []
+        usable: List[Tuple[CandidateFeatures, int]] = []
         for features, target in examples:
             position = np.where(features.candidate_items == target)[0]
             if len(position) == 0:
                 continue
-            usable.append((features.features, int(position[0])))
+            usable.append((features, int(position[0])))
         if not usable:
             # Nothing to learn from (e.g. extremely small candidate lists);
             # the untrained network then behaves as a random-ish but harmless
@@ -292,7 +303,7 @@ class IntegratingMLP:
         self.freeze()
         return self
 
-    def _sample_listwise_rows(self, chunk: List[Tuple[np.ndarray, int]]) -> np.ndarray:
+    def _sample_listwise_rows(self, chunk: List[Tuple[CandidateFeatures, int]]) -> np.ndarray:
         """Stack fixed-size ``[positive, negatives...]`` blocks for each user.
 
         Every block has exactly ``negatives_per_positive + 1`` rows (negatives
@@ -300,19 +311,20 @@ class IntegratingMLP:
         batch reshapes cleanly into per-user softmax groups.
         """
 
-        blocks: List[np.ndarray] = []
-        for feature_matrix, positive_row in chunk:
-            num_candidates = feature_matrix.shape[0]
+        list_size = self.negatives_per_positive + 1
+        stacked = np.empty((len(chunk) * list_size, self.input_dim))
+        for block, (features, positive_row) in enumerate(chunk):
+            num_candidates = len(features.candidate_items)
             negative_pool = np.delete(np.arange(num_candidates), positive_row)
             if len(negative_pool) == 0:
                 negative_pool = np.asarray([positive_row])
             replace = len(negative_pool) < self.negatives_per_positive
             chosen = self._rng.choice(negative_pool, size=self.negatives_per_positive, replace=replace)
             rows = np.concatenate([[positive_row], chosen])
-            blocks.append(feature_matrix[rows])
-        return np.concatenate(blocks, axis=0)
+            features.rows(rows, out=stacked[block * list_size:(block + 1) * list_size])
+        return stacked
 
-    def _validation_loss(self, validation: List[Tuple[np.ndarray, int]]) -> float:
+    def _validation_loss(self, validation: List[Tuple[CandidateFeatures, int]]) -> float:
         """Early-stopping criterion: negative mean DCG gain of the positive row.
 
         For each held-out validation user the positive's rank within her full
@@ -329,8 +341,8 @@ class IntegratingMLP:
         self.network.eval()
         gains: List[float] = []
         with nn.no_grad():
-            for feature_matrix, positive_row in validation:
-                logits = self._forward_tensor(nn.Tensor(feature_matrix)).data
+            for features, positive_row in validation:
+                logits = self._forward_tensor(nn.Tensor(features.features)).data
                 rank = int(np.sum(logits >= logits[positive_row]))
                 gains.append(1.0 / np.log2(rank + 1.0))
         return -float(np.mean(gains))

@@ -159,6 +159,9 @@ class SCCF(Recommender):
         Per Section IV-A4: "To train the integrating model, we utilize each
         user's item just before the last as the training label" — i.e. the
         validation item, predicted from the training-only history.
+
+        One batched call builds every (compact) example: chunking it is not
+        bit-identical, since the UI matmul's last bit depends on its row count.
         """
 
         users: List[int] = []

@@ -61,7 +61,41 @@ class TestBuildFeatures:
         np.testing.assert_allclose(features.features[:, :4], np.tile(user_embedding, (3, 1)))
         np.testing.assert_allclose(features.features[:, 4:8], item_embeddings[candidates])
         np.testing.assert_allclose(features.features[:, 8], normalize_scores(ui_scores[candidates]))
-        np.testing.assert_allclose(features.ui_scores, ui_scores[candidates])
+        np.testing.assert_allclose(features.features[:, 9], normalize_scores(uu_scores[candidates]))
+
+    def test_rows_equal_the_materialized_matrix_bitwise(self, rng):
+        merger = IntegratingMLP(embedding_dim=6, num_epochs=1)
+        for _ in range(25):
+            num_items = int(rng.integers(2, 60))
+            candidates = rng.choice(num_items, size=int(rng.integers(1, num_items + 1)), replace=False)
+            user_embedding = rng.normal(size=6)
+            item_embeddings = rng.normal(size=(num_items, 6))
+            ui_scores = rng.normal(size=num_items)
+            uu_scores = rng.normal(size=num_items)
+            features = merger.build_features(
+                0, user_embedding, item_embeddings, candidates, ui_scores, uu_scores
+            )
+            full = features.features
+            stored = np.concatenate(
+                [
+                    np.tile(user_embedding, (len(candidates), 1)),
+                    item_embeddings[candidates],
+                    normalize_scores(ui_scores[candidates])[:, None],
+                    normalize_scores(uu_scores[candidates])[:, None],
+                ],
+                axis=1,
+            )
+            assert np.array_equal(full, stored)
+            # Resampling with replacement, as _sample_listwise_rows does, plus a forced repeat.
+            index = rng.integers(0, len(candidates), size=51)
+            index[-1] = index[0]
+            rows = features.rows(index)
+            assert rows.dtype == np.float64
+            assert np.array_equal(rows, full[index])
+            out = np.full((53, 2 * 6 + 2), np.nan)
+            features.rows(index, out=out[1:52])
+            assert np.array_equal(out[1:52], full[index])
+            assert np.isnan(out[0]).all() and np.isnan(out[52]).all()
 
     def test_empty_candidates_rejected(self, rng):
         merger = IntegratingMLP(embedding_dim=4, num_epochs=1)
@@ -123,6 +157,49 @@ class TestTraining:
         merger.fit(examples)
         predictions = merger.predict(examples[0][0])
         assert predictions.shape == (10,)
+
+    def test_compact_training_matches_materialized_matrices_bitwise(self, rng):
+        """Same examples, same order, same RNG draws as training on stored matrices.
+
+        The eager reference pre-materializes every candidate set's full matrix
+        and serves rows by indexing it.  Small sets (negatives resampled with
+        replacement) and large ones (without) are mixed.
+        """
+
+        class EagerCandidates:
+            def __init__(self, features):
+                self.candidate_items = features.candidate_items
+                count = len(features.candidate_items)
+                self.features = np.concatenate(
+                    [
+                        np.tile(features.user_embedding, (count, 1)),
+                        features.item_embeddings[features.candidate_items],
+                        features.ui_norm[:, None],
+                        features.uu_norm[:, None],
+                    ],
+                    axis=1,
+                )
+
+            def rows(self, index, out):
+                out[:] = self.features[index]
+                return out
+
+        examples = build_synthetic_examples(30, 12, 4, rng) + build_synthetic_examples(30, 80, 4, rng)
+        eager = [(EagerCandidates(features), target) for features, target in examples]
+        compact_merger = IntegratingMLP(embedding_dim=4, num_epochs=4, negatives_per_positive=20, seed=5)
+        eager_merger = IntegratingMLP(embedding_dim=4, num_epochs=4, negatives_per_positive=20, seed=5)
+        compact_merger.fit(examples)
+        eager_merger.fit(eager)
+
+        compact_state = compact_merger.network.state_dict()
+        eager_state = eager_merger.network.state_dict()
+        assert compact_state.keys() == eager_state.keys()
+        for name in compact_state:
+            assert np.array_equal(compact_state[name], eager_state[name]), name
+        assert np.array_equal(compact_merger.skip_weights.data, eager_merger.skip_weights.data)
+        assert len(compact_merger.loss_history) == 4
+        assert compact_merger.loss_history == eager_merger.loss_history
+        assert compact_merger.validation_history == eager_merger.validation_history
 
     def test_predict_shape_and_determinism(self, rng):
         examples = build_synthetic_examples(10, 12, 4, rng)

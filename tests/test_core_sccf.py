@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core import SCCF, SCCFConfig
-from repro.models import Popularity
+from repro.data import load_preset
+from repro.models import FISM, Popularity
 
 
 class TestConstruction:
@@ -135,8 +138,6 @@ class TestFitting:
         np.testing.assert_allclose(trained_fism.item_embeddings(), item_table_before)
 
     def test_fit_trains_ui_model_when_requested(self, tiny_dataset):
-        from repro.models import FISM
-
         fism = FISM(embedding_dim=8, num_epochs=1, seed=9)
         sccf = SCCF(fism, SCCFConfig(num_neighbors=5, candidate_list_size=20, merger_epochs=2))
         sccf.fit(tiny_dataset, fit_ui_model=True)
@@ -145,3 +146,26 @@ class TestFitting:
     def test_dimensions_recorded(self, fitted_sccf, tiny_dataset):
         assert fitted_sccf.num_users == tiny_dataset.num_users
         assert fitted_sccf.num_items == tiny_dataset.num_items
+
+    def test_merger_training_memory_is_bounded_by_the_dense_score_pair(self):
+        """The fit peak stays below 3× the two dense ``(users × num_items)`` score matrices.
+
+        Merger training holds one candidate set per training user at once.
+        Stored as full ``(C, 2d + 2)`` float64 feature matrices (1 500 users,
+        up to 200 candidates, 66 columns) those alone come to about 5.4× the
+        dense score pair at this size and the fit peaks at about 7×, so the
+        assertion fails when the examples are materialized; stored compactly
+        the peak is about 2×.
+        """
+
+        dataset = load_preset("tiny", seed=3, num_users=1500, num_items=1200)
+        fism = FISM(embedding_dim=32, num_epochs=0, seed=3).fit(dataset)
+        sccf = SCCF(fism, SCCFConfig(num_neighbors=20, candidate_list_size=100, merger_epochs=1, seed=3))
+        tracemalloc.start()
+        try:
+            sccf.fit(dataset, fit_ui_model=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        dense_pair_bytes = 2 * dataset.num_users * dataset.num_items * np.dtype(np.float64).itemsize
+        assert peak < 3 * dense_pair_bytes

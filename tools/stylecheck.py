@@ -23,7 +23,7 @@ LINE_LENGTH = 120  # keep in sync with [tool.ruff] line-length
 #: import-section ranks:
 #: __future__ < stdlib < third-party < first-party < local-folder
 _FIRST_PARTY = {"repro", "tools"}
-_LOCAL_FOLDER = {"_bench_utils", "bench_cache_serving"}  # keep in sync with [tool.ruff.lint.isort]
+_LOCAL_FOLDER = {"_bench_utils"}  # keep in sync with [tool.ruff.lint.isort]
 _THIRD_PARTY = {"numpy", "pytest", "hypothesis", "scipy", "pandas"}
 
 
