@@ -9,10 +9,7 @@ from typing import Any, List, Tuple
 
 import numpy as np
 
-from repro.core import SCCF, SCCFConfig
-from repro.data import load_preset
 from repro.experiments import QUICK
-from repro.models import FISM
 
 #: The scale used by every benchmark: small synthetic datasets, short training
 #: budgets, capped evaluation users — minutes on a laptop CPU, same shape as
@@ -79,26 +76,6 @@ def emit_bench_json(name: str, payload: Any) -> str:
         json.dump({"bench": name, "results": _sanitize(payload)}, handle, indent=2, default=str)
         handle.write("\n")
     return path
-
-
-def build_sccf(num_users: int, num_items: int, dim: int, num_neighbors: int, seed: int = 13):
-    """A fitted SCCF on a synthetic dataset sized for the serving workload."""
-
-    dataset = load_preset(
-        "tiny",
-        seed=seed,
-        num_users=num_users,
-        num_items=num_items,
-        avg_interactions=20.0,
-        name="bench-cache",
-    )
-    model = FISM(embedding_dim=dim, num_epochs=0, seed=seed).fit(dataset)
-    sccf = SCCF(
-        model,
-        SCCFConfig(num_neighbors=num_neighbors, candidate_list_size=100, merger_epochs=1, seed=seed),
-    )
-    sccf.fit(dataset, fit_ui_model=False)
-    return sccf, dataset
 
 
 def zipf_probabilities(num_users: int, alpha: float) -> np.ndarray:

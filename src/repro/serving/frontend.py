@@ -9,15 +9,13 @@ queue and awaits a future, while a drainer task per operation closes a
 *window* over whatever is queued and executes it through the server's
 batch canonicals (``recommend_batch`` / ``observe_batch``).
 
-Window policy — a window closes on whichever comes first:
-
-* ``max_batch`` requests have been collected, or
-* ``max_wait_ms`` has elapsed since the window's first request.
-
-``max_wait_ms`` is the latency the *first* request in a sparse window
-donates to batching; under load windows fill to ``max_batch`` long before
-the timer and the knob costs nothing.  ``max_wait_ms=0`` never waits — a
-window is just whatever already sits in the queue (pure piggybacking).
+Window policy — natural batching: a window is whatever is queued when the
+drainer wakes, capped at ``max_batch``, and it executes at once.  Nothing
+waits for company.  No linger is needed because windows execute inline on
+the event loop (below): every caller whose reply a window resolved is
+resumed — and enqueues its next request — before the drainer's own wake-up
+runs, so closed-loop clients keep windows full while a lone request is
+served immediately.
 
 Backpressure — the queues are bounded (``max_queue``); at capacity the
 behaviour is the caller's choice: ``backpressure="wait"`` suspends the
@@ -109,32 +107,33 @@ class AsyncFrontend:
     Use as an async context manager so the drainer tasks are started and
     torn down with the scope::
 
-        async with AsyncFrontend(server, max_batch=64, max_wait_ms=2.0) as fe:
+        async with AsyncFrontend(server, max_batch=64) as fe:
             results = await asyncio.gather(*(fe.recommend(u, k=10) for u in users))
 
     ``close()`` (and ``__aexit__``) drains both queues fully before
     cancelling the drainers — every admitted request is answered.
+
+    ``max_wait_ms`` is deprecated and ignored: windows no longer linger for
+    a timer (see the module docstring).  It is still accepted so existing
+    callers keep working.
     """
 
     def __init__(
         self,
         server: RealTimeServer,
         max_batch: int = 64,
-        max_wait_ms: float = 2.0,
+        max_wait_ms: Optional[float] = None,
         max_queue: int = 1024,
         backpressure: str = "wait",
     ) -> None:
         if max_batch <= 0:
             raise ValueError("max_batch must be positive")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be non-negative")
         if max_queue <= 0:
             raise ValueError("max_queue must be positive")
         if backpressure not in ("wait", "reject"):
             raise ValueError('backpressure must be "wait" or "reject"')
         self.server = server
         self.max_batch = max_batch
-        self.max_wait_ms = max_wait_ms
         self.max_queue = max_queue
         self.backpressure = backpressure
         self.stats = FrontendStats()
@@ -266,37 +265,17 @@ class AsyncFrontend:
     ) -> None:
         """Collect windows off one queue forever (cancelled by :meth:`close`).
 
-        Blocks on the first request, then keeps the window open until either
-        ``max_batch`` is reached or ``max_wait_ms`` has elapsed since that
-        first request.  ``task_done`` is called for every collected item even
-        if execution fails, so ``close()``'s ``join`` cannot hang.
+        Blocks on the first request, takes everything else already queued
+        (up to ``max_batch``) without yielding, and executes the window at
+        once.  ``task_done`` is called for every collected item even if
+        execution fails, so ``close()``'s ``join`` cannot hang.
         """
 
-        loop = asyncio.get_running_loop()
         while True:
             window: List[Any] = [await queue.get()]
             try:
-                # Fast path: take everything already queued without yielding.
-                # Under load windows fill right here, and the timed wait
-                # below — whose wait_for spins up a task per call — never
-                # runs; the coalescer's overhead stays O(1) per window
-                # instead of O(1) per request.
                 while len(window) < self.max_batch and not queue.empty():
                     window.append(queue.get_nowait())
-                if len(window) < self.max_batch and self.max_wait_ms > 0:
-                    deadline = loop.time() + self.max_wait_ms / 1000.0
-                    while len(window) < self.max_batch:
-                        remaining = deadline - loop.time()
-                        if remaining <= 0:
-                            break
-                        try:
-                            window.append(
-                                await asyncio.wait_for(queue.get(), timeout=remaining)
-                            )
-                        except asyncio.TimeoutError:
-                            break
-                        while len(window) < self.max_batch and not queue.empty():
-                            window.append(queue.get_nowait())
                 execute(window)
             finally:
                 for _ in window:

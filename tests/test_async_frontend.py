@@ -72,7 +72,7 @@ class TestCoalescedParity:
         recommends, observes = _mixed_workload(tiny_dataset)
 
         async def through_frontend():
-            async with AsyncFrontend(coalesced, max_batch=16, max_wait_ms=5.0) as frontend:
+            async with AsyncFrontend(coalesced, max_batch=16) as frontend:
                 first = await asyncio.gather(
                     *(frontend.recommend(user, k=10) for user in recommends)
                 )
@@ -106,7 +106,7 @@ class TestCoalescedParity:
         user = tiny_dataset.evaluation_users()[0]
 
         async def singles():
-            async with AsyncFrontend(coalesced, max_batch=8, max_wait_ms=0.0) as frontend:
+            async with AsyncFrontend(coalesced, max_batch=8) as frontend:
                 out = []
                 for item in (1, 3, 5):
                     out.append(await frontend.recommend(user, k=5))
@@ -119,6 +119,33 @@ class TestCoalescedParity:
             expected.append(direct.recommend(user, k=5))
             direct.observe(user, item)
         assert results == expected
+
+
+# --------------------------------------------------------------------- #
+# natural batching: a window is whatever is queued, executed at once
+# --------------------------------------------------------------------- #
+class TestNaturalBatching:
+    def test_lone_caller_does_not_wait_for_company(self, tiny_dataset, trained_fism):
+        server = _fresh_server(tiny_dataset, trained_fism)
+        users = tiny_dataset.evaluation_users()[:6]
+        server.recommend(users[0], k=5)  # first-call warm-up outside the timing
+
+        async def scenario():
+            # max_wait_ms is deprecated: accepted, and no window waits for it
+            async with AsyncFrontend(server, max_batch=8, max_wait_ms=50.0) as frontend:
+                begin = time.perf_counter()
+                for user in users[:5]:
+                    await frontend.recommend(user, k=5)
+                sequential_s = time.perf_counter() - begin
+                assert frontend.stats.recommend_windows == 5
+                # concurrent callers still coalesce into one window
+                await asyncio.gather(*(frontend.recommend(u, k=5) for u in users))
+                assert frontend.stats.recommend_windows == 6
+                assert frontend.stats.largest_recommend_window == len(users)
+            return sequential_s
+
+        # a 50 ms linger per window would take ≥ 250 ms
+        assert asyncio.run(scenario()) < 0.1
 
 
 # --------------------------------------------------------------------- #
@@ -162,21 +189,38 @@ class TestDeadlines:
 
     def test_frontend_queue_wait_counts_against_deadline(self, tiny_dataset, trained_fism):
         server = _fresh_server(tiny_dataset, trained_fism)
-        users = tiny_dataset.evaluation_users()[:4]
+        users = tiny_dataset.evaluation_users()[:8]
+        held, expiring = users[:4], users[4:]
+        hold_ms = 20.0
+        windows = []
+        original = server.recommend_batch
+
+        def slow_first_window(requests):
+            if not windows:
+                time.sleep(hold_ms / 1000.0)  # holds the loop: the burst stays queued
+            windows.append(len(requests))
+            return original(requests)
+
+        server.recommend_batch = slow_first_window
 
         async def burst():
-            async with AsyncFrontend(server, max_batch=4, max_wait_ms=20.0) as frontend:
-                # 0.01 ms expires during the window-build wait alone; every
-                # request short-circuits to [] and counts a miss
+            async with AsyncFrontend(server, max_batch=len(held)) as frontend:
+                # all eight are admitted (and stamped) before the first window
+                # runs; the second window starts ≥ hold_ms later, so its 1 ms
+                # deadlines expired in the queue
                 return await asyncio.gather(
-                    *(frontend.recommend(u, k=5, deadline_ms=0.01) for u in users)
+                    *(frontend.recommend(u, k=5) for u in held),
+                    *(frontend.recommend(u, k=5, deadline_ms=1.0) for u in expiring),
                 )
 
         results = asyncio.run(burst())
-        assert list(results) == [[] for _ in users]
-        assert server.deadline_misses == len(users)
+        assert windows == [len(held), len(expiring)]
+        assert all(results[: len(held)])
+        # every expired request short-circuits to [] and counts a miss
+        assert list(results[len(held):]) == [[] for _ in expiring]
+        assert server.deadline_misses == len(expiring)
         # the recorded samples include the queue wait they actually suffered
-        assert all(sample >= 0.01 for sample in server.recommend_latencies)
+        assert all(sample >= hold_ms for sample in list(server.recommend_latencies)[len(held):])
 
 
 # --------------------------------------------------------------------- #
@@ -245,8 +289,6 @@ class TestBackpressure:
         server = _fresh_server(tiny_dataset, trained_fism)
         with pytest.raises(ValueError, match="max_batch"):
             AsyncFrontend(server, max_batch=0)
-        with pytest.raises(ValueError, match="max_wait_ms"):
-            AsyncFrontend(server, max_wait_ms=-1.0)
         with pytest.raises(ValueError, match="max_queue"):
             AsyncFrontend(server, max_queue=0)
         with pytest.raises(ValueError, match="backpressure"):
@@ -296,7 +338,7 @@ class TestAdmissionValidation:
         user = tiny_dataset.evaluation_users()[0]
 
         async def scenario():
-            async with AsyncFrontend(server, max_batch=4, max_wait_ms=1.0) as frontend:
+            async with AsyncFrontend(server, max_batch=4) as frontend:
                 with pytest.raises(ValueError, match="user_id"):
                     await frontend.recommend(float("nan"), k=5)
                 with pytest.raises(ValueError, match="item_id"):
@@ -332,7 +374,7 @@ class TestSloAccounting:
         recommends, observes = _mixed_workload(tiny_dataset, num_requests=16)
 
         async def drive():
-            async with AsyncFrontend(server, max_batch=8, max_wait_ms=2.0) as frontend:
+            async with AsyncFrontend(server, max_batch=8) as frontend:
                 await asyncio.gather(*(frontend.recommend(u, k=5) for u in recommends))
                 await asyncio.gather(*(frontend.observe(u, i) for u, i in observes))
 
@@ -346,7 +388,7 @@ class TestSloAccounting:
         users = tiny_dataset.evaluation_users()[:6]
 
         async def drive():
-            async with AsyncFrontend(server, max_batch=6, max_wait_ms=5.0) as frontend:
+            async with AsyncFrontend(server, max_batch=6) as frontend:
                 await asyncio.gather(*(frontend.observe(u, 0) for u in users))
                 assert frontend.stats.observe_windows < len(users)  # it coalesced
 
@@ -386,7 +428,7 @@ class TestChaos:
         recommends, observes = _mixed_workload(tiny_dataset, num_requests=24, seed=5)
 
         async def drive():
-            async with AsyncFrontend(server, max_batch=8, max_wait_ms=2.0) as frontend:
+            async with AsyncFrontend(server, max_batch=8) as frontend:
                 first = await asyncio.gather(
                     *(frontend.recommend(u, k=5) for u in recommends[:12])
                 )
@@ -431,7 +473,7 @@ class TestChaos:
         FaultInjector().fail_shard(sccf.neighborhood.index, 0)
 
         async def drive():
-            async with AsyncFrontend(server, max_batch=4, max_wait_ms=2.0) as frontend:
+            async with AsyncFrontend(server, max_batch=4) as frontend:
                 await frontend.observe(user, 3)
 
         try:
@@ -470,7 +512,7 @@ class TestChaos:
         live = server.sccf.neighborhood.index
 
         async def drive():
-            async with AsyncFrontend(server, max_batch=8, max_wait_ms=2.0) as frontend:
+            async with AsyncFrontend(server, max_batch=8) as frontend:
                 first = await asyncio.gather(
                     *(frontend.recommend(u, k=5) for u in recommends[:12])
                 )
@@ -530,7 +572,7 @@ class TestChaos:
         monkeypatch.setattr(ivf_module, "kmeans", exploding_kmeans)
 
         async def drive():
-            async with AsyncFrontend(server, max_batch=8, max_wait_ms=2.0) as frontend:
+            async with AsyncFrontend(server, max_batch=8) as frontend:
                 assert server.begin_shadow_maintenance(imbalance_threshold=0.5) is None
                 burst = await asyncio.gather(
                     *(frontend.recommend(u, k=5) for u in recommends),
@@ -572,12 +614,12 @@ class TestLifecycle:
         users = tiny_dataset.evaluation_users()[:4]
 
         async def scenario():
-            frontend = AsyncFrontend(server, max_batch=64, max_wait_ms=50.0)
+            frontend = AsyncFrontend(server, max_batch=64)
             await frontend.start()
             pending = [
                 asyncio.ensure_future(frontend.recommend(u, k=5)) for u in users
             ]
-            await asyncio.sleep(0)  # enqueued, window still open
+            await asyncio.sleep(0)  # enqueued, window not yet executed
             await frontend.close()  # must flush, not drop
             results = await asyncio.gather(*pending)
             assert all(results)
@@ -597,12 +639,12 @@ class TestLifecycle:
         events = [(int(user), 1 + i) for i, user in enumerate(users)]
 
         async def scenario():
-            frontend = AsyncFrontend(server, max_batch=64, max_wait_ms=50.0)
+            frontend = AsyncFrontend(server, max_batch=64)
             await frontend.start()
             pending = [
                 asyncio.ensure_future(frontend.observe(u, i)) for u, i in events
             ]
-            await asyncio.sleep(0)  # admitted, window still open
+            await asyncio.sleep(0)  # admitted, window not yet executed
             await frontend.close()
             await asyncio.gather(*pending)
 
