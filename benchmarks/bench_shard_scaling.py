@@ -2,12 +2,12 @@
 
 Two production questions, one bench:
 
-1. **Does sharding the user index scale serving?**  ``ShardedIndex``
-   partitions N rows across S shards and fans per-shard top-k searches out
-   over a thread pool (NumPy matmuls release the GIL).  This part streams
-   batched queries through S in {1, 2, 4, ...} and reports QPS and the p99
-   per-batch latency.  Results are bit-identical to the unsharded index, so
-   the only thing changing is where the work runs.
+1. **What does sharding the user index cost serving?**  ``ShardedIndex``
+   partitions N rows across S shards and searches them one after the other,
+   then merges the per-shard top-k lists.  This part streams batched queries
+   through S in {1, 2, 4, ...} and reports QPS and the p99 per-batch latency.
+   Results are bit-identical to the unsharded index, so the only thing
+   changing is how the work is split.
 2. **Does periodic re-clustering repair a skewed IVF index?**  Streaming
    ``add`` assigns rows to frozen centroids, so a drifting stream piles rows
    into a few cells.  This part skews an ``IVFIndex`` with drifted adds, then
@@ -54,8 +54,8 @@ def bench_shard_counts(
         if num_shards == 1:
             index = BruteForceIndex().build(vectors)
         else:
-            index = ShardedIndex(num_shards=num_shards, num_threads=num_shards).build(vectors)
-        index.search_batch(query_batches[0], k)  # warm up threads/BLAS
+            index = ShardedIndex(num_shards=num_shards).build(vectors)
+        index.search_batch(query_batches[0], k)  # warm up BLAS
         latencies_ms = []
         start = time.perf_counter()
         for batch in query_batches:
@@ -63,8 +63,6 @@ def bench_shard_counts(
             index.search_batch(batch, k)
             latencies_ms.append((time.perf_counter() - batch_start) * 1000.0)
         elapsed = time.perf_counter() - start
-        if num_shards > 1:
-            index.close()
         qps = total_queries / elapsed
         if baseline_qps is None:
             baseline_qps = qps
@@ -127,7 +125,7 @@ def format_scaling(rows: List[Dict], num_rows: int, batch_size: int) -> str:
     # The speedup baseline is the first swept shard count, which need not be 1.
     baseline_label = f"vs {rows[0]['shards']} shard" + ("s" if rows[0]["shards"] != 1 else "")
     header = f"{'shards':>7} {'QPS':>12} {'p99 batch (ms)':>16} {baseline_label:>12}"
-    lines = [f"shard scaling: N={num_rows}, batch={batch_size}, threaded fan-out", header, "-" * len(header)]
+    lines = [f"shard scaling: N={num_rows}, batch={batch_size}, shards searched serially", header, "-" * len(header)]
     for row in rows:
         lines.append(
             f"{row['shards']:>7} {row['qps']:>12.0f} {row['p99_batch_ms']:>16.2f} {row['speedup']:>11.2f}x"

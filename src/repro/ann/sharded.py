@@ -15,9 +15,9 @@ architecture in-process:
   own rows (each a top-k of an ``N/S``-column score matrix), and a single
   merge re-ranks the ``≤ S·k`` partial candidates per query.  Per-shard
   results carry *global* ids, so exclusion lists pass straight through.
-* **Thread fan-out** — NumPy matmuls release the GIL, so with
-  ``num_threads > 1`` the per-shard searches run concurrently on a
-  ``ThreadPoolExecutor``.
+  The shards are searched one after the other on the caller's thread, because
+  a thread pool over them measured slower end to end on a 2-core machine
+  (README, "Scatter-gather sharding").
 
 Results are *bit-identical* to the unsharded backend: each candidate's score
 is the same query-row · index-row dot product regardless of which shard holds
@@ -28,8 +28,7 @@ with ties in ascending global position — exactly the tie order of
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,6 +58,9 @@ class SearchResults(list):
 class ShardedIndex:
     """Scatter-gather top-k search over S backend shards.
 
+    Every search visits the shards one after the other on the caller's
+    thread; the index starts no threads and holds nothing to release.
+
     Parameters
     ----------
     num_shards:
@@ -69,9 +71,8 @@ class ShardedIndex:
         ``lambda: IVFIndex(num_cells=64, n_probe=8)`` for approximate shards
         (every shard then needs at least one row at build time).
     num_threads:
-        Worker threads for the per-shard fan-out.  ``None`` or ``1`` searches
-        shards serially; larger values share a lazily created
-        ``ThreadPoolExecutor`` (capped at ``num_shards``).
+        Deprecated and ignored: shards are always searched serially.  Still
+        accepted because existing callers pass it.
     failure_policy:
         ``"raise"`` (default) propagates a shard backend's search exception
         unchanged.  ``"degrade"`` answers from the surviving shards instead:
@@ -91,12 +92,9 @@ class ShardedIndex:
     ) -> None:
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
-        if num_threads is not None and num_threads <= 0:
-            raise ValueError("num_threads must be positive")
         if failure_policy not in ("raise", "degrade"):
             raise ValueError("failure_policy must be 'raise' or 'degrade'")
         self.num_shards = num_shards
-        self.num_threads = num_threads
         self.failure_policy = failure_policy
         #: searches answered from a strict subset of the populated shards
         #: (only ever bumped under ``failure_policy="degrade"``).
@@ -109,7 +107,6 @@ class ShardedIndex:
         self._shards: List[object] = []
         self._ids: Optional[np.ndarray] = None
         self._dim: int = 0
-        self._executor: Optional[ThreadPoolExecutor] = None
         # Lazily cached argsort of self._ids for the merge re-rank; rebuilt
         # after build/add (sorting N ids per *query* would dominate the merge).
         self._id_order: Optional[np.ndarray] = None
@@ -268,7 +265,7 @@ class ShardedIndex:
         k: int,
         exclude_per_query: Optional[Sequence[Optional[np.ndarray]]] = None,
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Per-shard top-k in parallel, then one merge re-rank per query."""
+        """Per-shard top-k, one shard after the other, then one merge re-rank per query."""
 
         if self._ids is None:
             raise RuntimeError("index has not been built")
@@ -286,29 +283,13 @@ class ShardedIndex:
         if len(live) == 1 and self.failure_policy == "raise":
             return live[0].search_batch(queries, k, exclude_per_query=exclude_per_query)
 
-        def scatter(backend: Any) -> "SearchResults":
-            return backend.search_batch(queries, k, exclude_per_query=exclude_per_query)
-
-        if self.num_threads is not None and self.num_threads > 1 and len(live) > 1:
-            futures = [self._get_executor().submit(scatter, backend) for backend in live]
-            outcomes = []
-            for future in futures:
-                try:
-                    outcomes.append(future.result())
-                except Exception:
-                    if self.failure_policy == "raise":
-                        raise
-                    outcomes.append(None)
-        else:
-            outcomes = []
-            for backend in live:
-                try:
-                    outcomes.append(scatter(backend))
-                except Exception:
-                    if self.failure_policy == "raise":
-                        raise
-                    outcomes.append(None)
-        partials = [outcome for outcome in outcomes if outcome is not None]
+        partials = []
+        for backend in live:
+            try:
+                partials.append(backend.search_batch(queries, k, exclude_per_query=exclude_per_query))
+            except Exception:
+                if self.failure_policy == "raise":
+                    raise
         degraded = len(partials) < len(live)
         if degraded:
             self.degraded_requests += 1
@@ -392,9 +373,9 @@ class ShardedIndex:
     def clone(self) -> "ShardedIndex":
         """Deep-copy into a detached shadow by cloning every shard backend.
 
-        The shadow shares the factory and policy but no rows, ids, or
-        executor with the live index — shadow retrains cannot disturb
-        serving.  Requires every shard backend to support ``clone()``.
+        The shadow shares the factory and policy but no rows or ids with the
+        live index — shadow retrains cannot disturb serving.  Requires every
+        shard backend to support ``clone()``.
         """
 
         for shard in self._shards:
@@ -405,7 +386,6 @@ class ShardedIndex:
         other = ShardedIndex(
             num_shards=self.num_shards,
             shard_factory=self._shard_factory,
-            num_threads=self.num_threads,
             failure_policy=self.failure_policy,
         )
         other.epoch = self.epoch
@@ -430,7 +410,6 @@ class ShardedIndex:
             "kind": "sharded",
             "meta": {
                 "num_shards": self.num_shards,
-                "num_threads": self.num_threads,
                 "failure_policy": self.failure_policy,
                 "epoch": self.epoch,
             },
@@ -445,16 +424,13 @@ class ShardedIndex:
         The restored index keeps the default shard factory — a later
         ``build`` would produce brute-force shards — but the restored shards
         themselves come back exactly as saved (including IVF cell layouts).
+        A ``num_threads`` entry in older snapshots' meta is ignored.
         """
 
         from . import restore_index
 
         meta = state["meta"]
-        index = cls(
-            num_shards=int(meta["num_shards"]),
-            num_threads=meta["num_threads"],
-            failure_policy=meta["failure_policy"],
-        )
+        index = cls(num_shards=int(meta["num_shards"]), failure_policy=meta["failure_policy"])
         shards: List[object] = []
         dim = 0
         for child in state["children"]:
@@ -487,59 +463,3 @@ class ShardedIndex:
             if getattr(shard, "retrain_threshold", None) is not None
         ]
         return min(values) if values else None
-
-    # ------------------------------------------------------------------ #
-    # executor lifecycle
-    # ------------------------------------------------------------------ #
-    def __getstate__(self) -> dict:
-        """State for ``copy``/``pickle`` without the thread pool (not copyable).
-
-        The copy starts with no executor and creates its own on its first
-        threaded search, like a freshly built index.
-        """
-
-        state = self.__dict__.copy()
-        state["_executor"] = None
-        return state
-
-    def _get_executor(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            workers = min(self.num_threads or 1, self.num_shards)
-            self._executor = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="shard-search"
-            )
-        return self._executor
-
-    def close(self) -> None:
-        """Shut down the fan-out thread pool and any closeable shard backends.
-
-        With the standard backends (brute force, IVF) calling this eagerly is
-        always safe: the pool shutdown is a no-op when searches ran serially,
-        and searches after ``close`` recreate it lazily.  Shard backends
-        exposing a ``close()`` of their own (a custom factory) are closed too
-        — the lifecycle protocol cascades all the way down, and if such a
-        backend's close is terminal, this index is terminal with it.
-        """
-
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        for shard in self._shards:
-            closer = getattr(shard, "close", None)
-            if closer is not None:
-                closer()
-
-    def __enter__(self) -> "ShardedIndex":
-        return self
-
-    def __exit__(self, exc_type: object, exc_value: object, traceback: object) -> None:
-        self.close()
-
-    def __del__(self) -> None:
-        # Release the thread pool with the index: callers up the stack
-        # (UserNeighborhoodComponent, SCCF) hold the index for their own
-        # lifetime and close() cascades are best-effort at teardown.
-        try:
-            self.close()
-        except Exception:
-            pass  # interpreter teardown; nothing useful to do

@@ -1264,28 +1264,15 @@ class RealTimeServer:
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release the serving stack's resources (cascades through the SCCF).
+        """Close the attached write-ahead log, flushing any group-commit tail.
 
-        The cascade — server → :meth:`SCCF.close` →
-        ``UserNeighborhoodComponent.close`` → ``index.close()`` — shuts down
-        a sharded index's search thread pool (recreated lazily by a later
-        search); with plain indexes it is a no-op.  Idempotent, and also
-        invoked by the context-manager exit.
-
-        Closing tears down the *shared stack*, not just this server: when
-        several servers serve one SCCF (a supported pattern — see the
-        request-key serial), close once, after the last of them is done,
-        rather than per server.
-
-        An attached journal is closed too (flushing any group-commit tail),
-        even when the SCCF teardown raises.
+        The SCCF stack holds nothing to release, so servers sharing one SCCF
+        close independently.  A no-op without a journal.  Idempotent, and
+        also invoked by the context-manager exit.
         """
 
-        try:
-            self.sccf.close()
-        finally:
-            if self.wal is not None:
-                self.wal.close()
+        if self.wal is not None:
+            self.wal.close()
 
     def __enter__(self) -> "RealTimeServer":
         return self

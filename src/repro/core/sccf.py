@@ -47,7 +47,8 @@ class SCCFConfig:
     lists handed to the integrating component; the online deployment uses 500,
     offline evaluation needs at least the largest k reported (100).
     ``num_shards > 1`` partitions the user-neighbor index across that many
-    scatter-gather shards (bit-identical results, lower per-shard load).
+    scatter-gather shards, searched one after the other on the caller's
+    thread (bit-identical results, lower per-shard load).
     ``cache_capacity > 0`` attaches a versioned
     :class:`~repro.core.cache.ServingCache` of that per-layer capacity, so
     repeat requests skip recomputing embeddings, neighbor lists and fused
@@ -513,23 +514,6 @@ class SCCF(Recommender):
             ServingCache.from_config(cache_config) if cache_config is not None else None
         )
         self._fitted = True
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        """Release the neighborhood index's thread pool (lifecycle cascade).
-
-        Safe and idempotent; an index without a ``close()`` is left alone.
-        """
-
-        self.neighborhood.close()
-
-    def __enter__(self) -> "SCCF":
-        return self
-
-    def __exit__(self, exc_type: object, exc_value: object, traceback: object) -> None:
-        self.close()
 
     @property
     def name(self) -> str:

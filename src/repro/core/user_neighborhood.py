@@ -80,10 +80,9 @@ class UserNeighborhoodComponent:
         :class:`~repro.ann.sharded.ShardedIndex`.
     num_shards:
         Partition the user index across this many scatter-gather shards of a
-        :class:`~repro.ann.sharded.ShardedIndex` (one search thread per
-        shard).  ``1`` (default) keeps the single-index layout.  Call
-        :meth:`close` (or let the owning ``SCCF`` / ``RealTimeServer``
-        cascade it) to release the thread pool.
+        :class:`~repro.ann.sharded.ShardedIndex`, searched one shard after
+        the other on the caller's thread.  ``1`` (default) keeps the
+        single-index layout.
     failure_policy:
         Forwarded to the :class:`~repro.ann.sharded.ShardedIndex` (only
         consulted when ``num_shards > 1``): ``"raise"`` propagates shard
@@ -126,7 +125,6 @@ class UserNeighborhoodComponent:
             self.index = ShardedIndex(
                 num_shards=num_shards,
                 shard_factory=index_factory,
-                num_threads=num_shards,
                 failure_policy=failure_policy,
             )
         elif index_factory is not None:
@@ -671,7 +669,7 @@ class UserNeighborhoodComponent:
         The construction-time knobs (shard layout) stay whatever this
         instance was built with; the *data* — embeddings, recent items,
         version counters, and the index itself — comes back exactly as
-        saved.  The previous index is closed after the swap.
+        saved.
         """
 
         from ..ann import restore_index
@@ -701,12 +699,7 @@ class UserNeighborhoodComponent:
             int(user): int(version)
             for user, version in zip(arrays["version_users"], arrays["version_values"])
         }
-        old_index = self.index
         self.index = restore_index(state["index"])
-        if old_index is not None and old_index is not self.index:
-            closer = getattr(old_index, "close", None)
-            if closer is not None:
-                closer()
         self._fitted = True
 
     def user_embedding(self, user_id: int) -> np.ndarray:
@@ -719,15 +712,3 @@ class UserNeighborhoodComponent:
         """Items this user currently contributes to her neighbors' candidates."""
 
         return list(self._recent_items.get(user_id, []))
-
-    def close(self) -> None:
-        """Release the index's thread pool, if it has one.
-
-        Part of the lifecycle cascade: ``RealTimeServer.close()`` →
-        ``SCCF.close()`` → here → ``index.close()``.  Safe on indexes with no
-        close surface (brute force, IVF) and idempotent on the rest.
-        """
-
-        closer = getattr(self.index, "close", None)
-        if closer is not None:
-            closer()

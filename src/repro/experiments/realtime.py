@@ -175,7 +175,8 @@ def run_table3(
 
         # --- SCCF sharded: per-event path over a scatter-gather user index -- #
         # Reuses the already-trained SASRec; only the neighborhood index and
-        # the merger are rebuilt, now partitioned across two threaded shards.
+        # the merger are rebuilt, now partitioned across two shards that each
+        # search visits one after the other.
         sharded_sccf = make_sccf(sasrec, scale, num_shards=2)
         sharded_sccf.fit(dataset, fit_ui_model=False)
         sharded_server = RealTimeServer(sharded_sccf, dataset)

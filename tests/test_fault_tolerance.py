@@ -259,16 +259,15 @@ class TestThreadBackendDegrade:
         vectors = rng.normal(size=(12, 4))
         queries = rng.normal(size=(2, 4))
         injector = FaultInjector()
-        with ShardedIndex(num_shards=2, num_threads=2, failure_policy="degrade") as index:
-            index.build(vectors)
-            injector.fail_shard(index, 1, times=2)
-            results = index.search_batch(queries, 3)
-            assert results.degraded and index.degraded_requests == 1
-            injector.fail_shard(index, 0)
-            empty = index.search_batch(queries, 3)
-            assert empty.degraded and len(empty) == 2
-            for ids, scores in empty:
-                assert len(ids) == 0 and len(scores) == 0
+        index = ShardedIndex(num_shards=2, failure_policy="degrade").build(vectors)
+        injector.fail_shard(index, 1, times=2)
+        results = index.search_batch(queries, 3)
+        assert results.degraded and index.degraded_requests == 1
+        injector.fail_shard(index, 0)
+        empty = index.search_batch(queries, 3)
+        assert empty.degraded and len(empty) == 2
+        for ids, scores in empty:
+            assert len(ids) == 0 and len(scores) == 0
 
     def test_raise_policy_propagates_shard_errors(self, rng):
         index = ShardedIndex(num_shards=2).build(rng.normal(size=(8, 3)))

@@ -130,27 +130,6 @@ def test_sharded_parity_any_size(n, d, num_shards, k, seed, ops):
     _run_parity_sequence(n, d, num_shards, k, seed, ops, exact_scores=False)
 
 
-@given(
-    n=st.integers(4, 40),
-    d=st.integers(2, 8),
-    num_shards=st.integers(2, 4),
-    seed=st.integers(0, 2**31 - 1),
-)
-@settings(max_examples=15, deadline=None)
-def test_sharded_threaded_equals_serial(n, d, num_shards, seed):
-    rng = np.random.default_rng(seed)
-    vectors = rng.normal(size=(n, d))
-    queries = rng.normal(size=(3, d))
-    serial = ShardedIndex(num_shards=num_shards).build(vectors)
-    with ShardedIndex(num_shards=num_shards, num_threads=num_shards) as threaded:
-        threaded.build(vectors)
-        for (serial_ids, serial_scores), (thr_ids, thr_scores) in zip(
-            serial.search_batch(queries, 5), threaded.search_batch(queries, 5)
-        ):
-            np.testing.assert_array_equal(serial_ids, thr_ids)
-            np.testing.assert_array_equal(serial_scores, thr_scores)
-
-
 # --------------------------------------------------------------------- #
 # (b) top_k_rows output contract
 # --------------------------------------------------------------------- #

@@ -9,6 +9,7 @@ fan-out, the `UserNeighborhoodComponent` / `SCCFConfig` knobs, and the
 from __future__ import annotations
 
 import copy
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.ann import (
     ShardedIndex,
 )
 from repro.core import SCCF, RealTimeServer, SCCFConfig, UserNeighborhoodComponent
+from repro.core.realtime import RecommendRequest
 
 
 class TestShardedIndex:
@@ -97,8 +99,6 @@ class TestShardedIndex:
     def test_errors(self, rng):
         with pytest.raises(ValueError):
             ShardedIndex(num_shards=0)
-        with pytest.raises(ValueError):
-            ShardedIndex(num_threads=0)
         index = ShardedIndex(num_shards=2)
         with pytest.raises(RuntimeError):
             index.search(np.ones(3), k=1)
@@ -150,34 +150,19 @@ class TestShardedIndex:
         assert index.imbalance() == 1.0
         index.retrain()  # no-op, must not raise
 
-    def test_close_is_idempotent(self, rng):
-        index = ShardedIndex(num_shards=2, num_threads=2).build(rng.normal(size=(8, 4)))
-        index.search_batch(rng.normal(size=(3, 4)), k=2)
-        index.close()
-        index.close()
-        # searches still work after close (executor is recreated lazily)
-        index.search_batch(rng.normal(size=(3, 4)), k=2)
-        index.close()
-
-    def test_deepcopy_after_threaded_search(self, rng):
-        """The lazily created thread pool is not copyable and must not be copied."""
-
+    def test_deepcopy_after_search_is_detached_and_identical(self, rng):
         queries = rng.normal(size=(3, 4))
-        with ShardedIndex(num_shards=2, num_threads=2) as index:
-            index.build(rng.normal(size=(12, 4)))
-            before = index.search_batch(queries, k=4)  # creates the pool
-            assert index._executor is not None
-            with copy.deepcopy(index) as duplicate:
-                assert duplicate._executor is None
-                assert index._executor is not None  # the original keeps its own
-                for answers in (duplicate.search_batch(queries, k=4), index.search_batch(queries, k=4)):
-                    for (ids, scores), (ids_before, scores_before) in zip(answers, before):
-                        np.testing.assert_array_equal(ids, ids_before)
-                        np.testing.assert_array_equal(scores, scores_before)
-                # detached: a write to the copy does not reach the original
-                duplicate.update(0, 10 * queries[0])
-                assert duplicate.search(queries[0], k=1)[0][0] == 0
-                np.testing.assert_array_equal(index.search(queries[0], k=4)[0], before[0][0])
+        index = ShardedIndex(num_shards=2).build(rng.normal(size=(12, 4)))
+        before = index.search_batch(queries, k=4)
+        duplicate = copy.deepcopy(index)
+        for answers in (duplicate.search_batch(queries, k=4), index.search_batch(queries, k=4)):
+            for (ids, scores), (ids_before, scores_before) in zip(answers, before):
+                np.testing.assert_array_equal(ids, ids_before)
+                np.testing.assert_array_equal(scores, scores_before)
+        # detached: a write to the copy does not reach the original
+        duplicate.update(0, 10 * queries[0])
+        assert duplicate.search(queries[0], k=1)[0][0] == 0
+        np.testing.assert_array_equal(index.search(queries[0], k=4)[0], before[0][0])
 
 
 class TestNeighborhoodSharding:
@@ -225,16 +210,21 @@ class TestNeighborhoodSharding:
         sccf = SCCF(trained_fism, SCCFConfig(num_neighbors=5, merger_epochs=1, num_shards=2))
         assert isinstance(sccf.neighborhood.index, ShardedIndex)
 
-    def test_server_close_cascades_to_the_index_thread_pool(self, tiny_dataset, trained_fism):
+    def test_sharded_stack_leaves_no_thread_behind(self, tiny_dataset, trained_fism):
+        """Shards are searched on the caller's thread: nothing is left to close."""
+
+        alive_before = set(threading.enumerate())
         config = SCCFConfig(
             num_neighbors=8, candidate_list_size=20, merger_epochs=1, num_shards=2, seed=3
         )
         sccf = SCCF(trained_fism, config).fit(tiny_dataset, fit_ui_model=False)
-        index = sccf.neighborhood.index
-        with RealTimeServer(sccf, tiny_dataset) as server:
-            server.recommend(0, k=5)
-            assert index._executor is not None  # the fan-out pool is live
-        assert index._executor is None  # server -> SCCF -> neighborhood -> index
+        server = RealTimeServer(sccf, tiny_dataset)
+        window = [RecommendRequest(user_id=0, k=5), RecommendRequest(user_id=3, k=5)]
+        assert all(server.recommend_batch(window))
+        server.observe_batch([(0, 1), (3, 2)])
+        assert server.maintain(0.0).retrained  # a blocking shadow build
+        assert all(server.recommend_batch(window))
+        assert set(threading.enumerate()) <= alive_before
 
     def test_sccf_rejects_explicit_index_plus_num_shards(self, trained_fism):
         """An explicit index would silently override the sharding knob."""

@@ -215,6 +215,16 @@ class TestIndexBackends:
         assert restored.epoch == index.epoch
         _search_parity(index, restored, rng.normal(size=(5, 8)))
 
+    def test_sharded_snapshot_recording_num_threads_still_restores(self, rng):
+        # older "sharded" trees carry the thread count the index no longer has
+        index = ShardedIndex(num_shards=2).build(rng.normal(size=(30, 8)))
+        state = index.snapshot_state()
+        assert "num_threads" not in state["meta"]
+        state["meta"]["num_threads"] = 2
+        restored = restore_index(state)
+        assert restored.epoch == index.epoch
+        _search_parity(index, restored, rng.normal(size=(5, 8)))
+
     def test_process_sharded_snapshot_fails_loudly(self, rng):
         # a tree saved by the removed process backend: same layout as
         # "sharded", different kind tag
