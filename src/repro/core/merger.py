@@ -34,14 +34,17 @@ def normalize_scores(scores: np.ndarray) -> np.ndarray:
     """Per-user standardization r̃ = (r − mean(r)) / std(r) from eq. (16).
 
     A constant score vector (zero standard deviation) normalizes to zeros,
-    which happens for users whose neighbors contributed no votes.
+    which happens for users whose neighbors contributed no votes.  The two
+    ``np.add.reduce`` calls are the sums ``mean()`` and ``std()`` run, in the
+    same order, without their per-call Python overhead: bit-identical.
     """
 
     scores = np.asarray(scores, dtype=np.float64)
-    std = scores.std()
+    centered = scores - np.add.reduce(scores, axis=None) / scores.size
+    std = np.sqrt(np.add.reduce(centered * centered, axis=None) / scores.size)
     if std < _EPS:
         return np.zeros_like(scores)
-    return (scores - scores.mean()) / std
+    return centered / std
 
 
 @dataclass

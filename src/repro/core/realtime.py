@@ -55,12 +55,12 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..ann import DEFAULT_RETRAIN_THRESHOLD
+from ..ann import DEFAULT_RETRAIN_THRESHOLD, top_k_rows
 from ..data.datasets import RecDataset
-from ..models.base import exclude_seen_items
 from .cache import MISS
 from .sccf import _NEG_INF, SCCF
 from .snapshot import read_snapshot, write_snapshot
+from .user_neighborhood import _item_coordinates
 from .wal import (
     WALError,
     WriteAheadLog,
@@ -851,21 +851,21 @@ class RealTimeServer:
             start=now if request.start is None else request.start,
         )
 
-    def _top_items(self, scores: np.ndarray, k: int) -> List[int]:
-        """Rank one masked score row into a finite top-``k`` id list.
+    def _rank_rows(
+        self, scores: np.ndarray, groups: Sequence[Tuple[int, bool]], k: int
+    ) -> List[np.ndarray]:
+        """Finite top-``k`` item ids of each row, exact ties by ascending id (``top_k_rows``).
 
-        ``top_k`` is clamped to the row length as well as the catalog size:
-        a server built over zero items, or an empty degraded score row,
-        yields ``[]`` here instead of crashing ``np.argpartition`` with
-        ``kth=-1``.
+        Row ``r`` scores ``groups[r] = (user, exclude_seen)``.  The "sccf"
+        non-candidate sentinel ``_NEG_INF`` and seen items are masked to -inf
+        in place, so neither can pad a list.
         """
 
-        top_k = min(k, self.num_items, int(scores.size))
-        if top_k <= 0:
-            return []
-        top = np.argpartition(-scores, kth=top_k - 1)[:top_k]
-        ordered = top[np.argsort(-scores[top], kind="stable")]
-        return [int(item) for item in ordered if np.isfinite(scores[item])]
+        scores[~(scores > _NEG_INF)] = -np.inf
+        seen = [self._states.get(user, []) if exclude_seen else [] for user, exclude_seen in groups]
+        scores[_item_coordinates(seen)] = -np.inf
+        ranked = top_k_rows(scores, min(k, self.num_items), np.arange(scores.shape[1]))
+        return [ids for ids, _ in ranked]
 
     def recommend_batch(self, requests: Sequence[RecommendRequest]) -> List[List[int]]:
         """Serve a window of recommend requests through one batched scoring pass.
@@ -881,7 +881,12 @@ class RealTimeServer:
         cache-missing requests share a single ``score_items_batch`` call,
         deduplicated per user (two requests for the same user rank the same
         score row — exactly what the sequential loop's second iteration
-        would have recomputed or read back from the cache).
+        would have recomputed or read back from the cache), and one ranking
+        of the window's distinct ``(user, exclude_seen)`` rows as a matrix.
+
+        A list is ordered by descending score; exactly tied scores rank by
+        ascending item id, whatever the window, the request's ``k`` or the
+        cache state.
 
         Requests whose deadline has already expired by window-build time
         (``start`` predates ``now`` by more than ``deadline_ms`` — queue
@@ -965,27 +970,20 @@ class RealTimeServer:
                     self._finish_recommend(prepared[i].start, prepared[i].deadline_ms)
             else:
                 degraded = getattr(index, "degraded_requests", 0) != degraded_before
-                # Duplicate (user, k, exclude_seen) requests rank once and
-                # share the list — the sequential loop's later duplicates
-                # would have recomputed the identical ranking (or read it
-                # back from the cache), so the outputs cannot differ.
-                ranked: Dict[Tuple[int, int, bool], List[int]] = {}
+                # Each distinct (user, exclude_seen) row is ranked once, for
+                # the window's largest k; a request's list is the first k of
+                # its row's, which is what ranking for k alone returns.
+                groups: Dict[Tuple[int, bool], int] = {}
+                for i in pending:
+                    groups.setdefault((prepared[i].user_id, prepared[i].exclude_seen), len(groups))
+                ranked = self._rank_rows(
+                    score_rows[[rows[user] for user, _ in groups]],
+                    list(groups),
+                    max(prepared[i].k for i in pending),
+                )
                 for i in pending:
                     req = prepared[i]
-                    group = (req.user_id, req.k, req.exclude_seen)
-                    result = ranked.get(group)
-                    if result is None:
-                        # In "sccf" mode non-candidates carry the finite
-                        # _NEG_INF sentinel; mask them to -inf so they can
-                        # never pad the result list.
-                        scores = score_rows[rows[req.user_id]]
-                        scores = np.where(scores > _NEG_INF, scores, -np.inf)
-                        if req.exclude_seen:
-                            scores = exclude_seen_items(scores, self._states.get(req.user_id, []))
-                        result = self._top_items(scores, req.k)
-                        ranked[group] = result
-                    else:
-                        result = list(result)
+                    result = ranked[groups[(req.user_id, req.exclude_seen)]][: req.k].tolist()
                     if degraded:
                         # A survivors-only list is fine to serve once but
                         # must not be memoized: the token counters don't move

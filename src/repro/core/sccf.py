@@ -29,14 +29,64 @@ import numpy as np
 
 from ..ann import NeighborIndex
 from ..data.datasets import RecDataset
-from ..models.base import InductiveUIModel, Recommender, exclude_seen_items
+from ..models.base import InductiveUIModel, Recommender
 from .cache import CacheStats, ServingCache, history_fingerprint, serve_batch
 from .merger import CandidateFeatures, IntegratingMLP
-from .user_neighborhood import UserNeighborhoodComponent
+from .user_neighborhood import _ROW_BLOCK, UserNeighborhoodComponent, _item_coordinates
 
 __all__ = ["SCCFConfig", "SCCF"]
 
 _NEG_INF = -1e12
+
+
+def _top_columns(
+    scores: np.ndarray, seen: Tuple[np.ndarray, np.ndarray], size: int, positive_only: bool
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row's top-``size`` columns in ``argpartition`` order, seen items masked.
+
+    Also returns which to keep: the finite scores (the positive ones with
+    ``positive_only``).
+    """
+
+    negated = np.negative(np.asarray(scores, dtype=np.float64))
+    negated[seen] = np.inf
+    top = np.argpartition(negated, kth=size - 1, axis=1)[:, :size].astype(np.int64, copy=False)
+    best = negated[np.arange(len(top))[:, None], top]
+    keep = np.isfinite(best)
+    if positive_only:
+        keep &= best < 0
+    return top, keep
+
+
+def _candidate_sets(
+    ui_matrix: np.ndarray,
+    uu_matrix: np.ndarray,
+    histories: Sequence[Sequence[int]],
+    size: int,
+) -> List[np.ndarray]:
+    """C^u_I = C^u_UI ∪ C^u_UU (eq. 14) for every row, excluding already-seen items.
+
+    Row ``r``'s set is its UI top-``size`` followed by the UU top-``size``
+    items its UI list lacks, each in ``argpartition`` order.  The union is a
+    boolean membership table per ``_ROW_BLOCK`` of rows, with no sort.
+    """
+
+    num_rows, num_items = ui_matrix.shape
+    size = min(size, num_items)
+    sets: List[np.ndarray] = []
+    for start in range(0, num_rows, _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        seen = _item_coordinates(histories[block])
+        ui_top, ui_keep = _top_columns(ui_matrix[block], seen, size, positive_only=False)
+        uu_top, uu_keep = _top_columns(uu_matrix[block], seen, size, positive_only=True)
+        rows = np.arange(len(ui_top))[:, None]
+        member = np.zeros((len(ui_top), num_items), dtype=bool)
+        member[rows, ui_top] = ui_keep
+        keep = np.concatenate([ui_keep, uu_keep & ~member[rows, uu_top]], axis=1)
+        columns = np.concatenate([ui_top, uu_top], axis=1)[keep]
+        ends = np.cumsum(keep.sum(axis=1)).tolist()
+        sets.extend(columns[begin:end] for begin, end in zip([0] + ends, ends))
+    return sets
 
 
 @dataclass(frozen=True)
@@ -188,17 +238,6 @@ class SCCF(Recommender):
     # ------------------------------------------------------------------ #
     # candidate construction shared by training and serving
     # ------------------------------------------------------------------ #
-    def _candidate_features(
-        self,
-        user_id: int,
-        history: Sequence[int],
-        item_embeddings: Optional[np.ndarray] = None,
-    ) -> Optional[CandidateFeatures]:
-        features = self._candidate_features_batch(
-            [user_id], [list(history)], item_embeddings=item_embeddings
-        )
-        return features[0]
-
     def _candidate_features_batch(
         self,
         user_ids: Sequence[int],
@@ -208,10 +247,10 @@ class SCCF(Recommender):
     ) -> List[Optional[CandidateFeatures]]:
         """Candidate construction for a batch of users.
 
-        UI scores come from one ``(B×d)·(d×num_items)`` matmul and UU scores
-        from one batched neighborhood query; only the per-user candidate merge
-        and feature assembly stay row-wise.  Entries are ``None`` for users
-        whose merged candidate set is empty.
+        UI scores come from one ``(B×d)·(d×num_items)`` matmul, UU scores
+        from one batched neighborhood query, and the candidate sets from
+        :func:`_candidate_sets`; only feature assembly stays per user.
+        Entries are ``None`` for users whose merged candidate set is empty.
         """
 
         if item_embeddings is None:
@@ -222,56 +261,22 @@ class SCCF(Recommender):
         uu_matrix = self.neighborhood.score_for_users(
             user_ids, user_embeddings=user_embeddings, histories=histories
         )
-
-        features: List[Optional[CandidateFeatures]] = []
-        for row, user in enumerate(user_ids):
-            candidates = self._merge_candidates(ui_matrix[row], uu_matrix[row], histories[row])
-            if len(candidates) == 0:
-                features.append(None)
-                continue
-            features.append(
-                self.merger.build_features(
-                    user_id=user,
-                    user_embedding=user_embeddings[row],
-                    item_embeddings=item_embeddings,
-                    candidate_items=candidates,
-                    ui_scores=ui_matrix[row],
-                    uu_scores=uu_matrix[row],
-                )
+        candidate_sets = _candidate_sets(
+            ui_matrix, uu_matrix, histories, min(self.config.candidate_list_size, self.num_items)
+        )
+        return [
+            self.merger.build_features(
+                user_id=user,
+                user_embedding=user_embeddings[row],
+                item_embeddings=item_embeddings,
+                candidate_items=candidates,
+                ui_scores=ui_matrix[row],
+                uu_scores=uu_matrix[row],
             )
-        return features
-
-    def _merge_candidates(
-        self,
-        ui_scores: np.ndarray,
-        uu_scores: np.ndarray,
-        history: Sequence[int],
-    ) -> np.ndarray:
-        """C^u_I = C^u_UI ∪ C^u_UU (eq. 14), excluding already-seen items.
-
-        The union is an unsorted dedup through a boolean membership table —
-        O(N + k) and no sort, unlike ``np.union1d`` — keeping UI candidates
-        first, then the UU candidates not already present.
-        """
-
-        size = min(self.config.candidate_list_size, self.num_items)
-        ui_masked = exclude_seen_items(ui_scores, history)
-        uu_masked = exclude_seen_items(uu_scores, history)
-        ui_top = self._top_k(ui_masked, size)
-        uu_top = self._top_k(uu_masked, size, positive_only=True)
-        fresh = np.isin(uu_top, ui_top, assume_unique=True, invert=True)
-        return np.concatenate([ui_top, uu_top[fresh]]).astype(np.int64)
-
-    @staticmethod
-    def _top_k(scores: np.ndarray, k: int, positive_only: bool = False) -> np.ndarray:
-        k = min(k, len(scores))
-        if k == 0:
-            return np.empty(0, dtype=np.int64)
-        top = np.argpartition(-scores, kth=k - 1)[:k]
-        top = top[np.isfinite(scores[top])]
-        if positive_only:
-            top = top[scores[top] > 0]
-        return top.astype(np.int64)
+            if len(candidates)
+            else None
+            for row, (user, candidates) in enumerate(zip(user_ids, candidate_sets))
+        ]
 
     # ------------------------------------------------------------------ #
     # scoring
@@ -297,9 +302,12 @@ class SCCF(Recommender):
         """Score the catalog for many users at once; returns ``(B, num_items)``.
 
         All three Table II modes are batched: ``"ui"`` is one scoring matmul,
-        ``"uu"`` one batched neighborhood query, and ``"sccf"`` runs batched
-        candidate construction with only the per-user merger forward left
-        row-wise.
+        ``"uu"`` one batched neighborhood query plus eq. 12 per row block.
+        ``"sccf"`` selects every row's candidate set in row blocks, then
+        assembles features and runs the merger forward per user (a stacked
+        forward is not bit-identical: BLAS rounding depends on the row
+        count).  Its rows hold fused scores on the candidates and the finite
+        ``_NEG_INF`` sentinel everywhere else.
         """
 
         self._require_fitted()
@@ -447,19 +455,20 @@ class SCCF(Recommender):
         """The two ranked candidate lists (UI, UU) before fusion — used by Figure 4."""
 
         self._require_fitted()
-        if history is None:
-            history = self._user_histories.get(user_id, [])
-        user_embedding = self.ui_model.infer_user_embedding(history)
-        ui_scores = exclude_seen_items(self.ui_model.ui_scores(user_embedding), history)
-        uu_scores = exclude_seen_items(
-            self.neighborhood.score_for_user(user_id, user_embedding, history=history), history
+        history = list(self._user_histories.get(user_id, []) if history is None else history)
+        user_embeddings = self.ui_model.infer_user_embeddings_batch([history])
+        ui_scores = user_embeddings @ self.ui_model.item_embeddings().T
+        uu_scores = self.neighborhood.score_for_users(
+            [user_id], user_embeddings=user_embeddings, histories=[history]
         )
         size = min(self.config.candidate_list_size, self.num_items)
-        ui_top = self._top_k(ui_scores, size)
-        ui_top = ui_top[np.argsort(-ui_scores[ui_top], kind="stable")]
-        uu_top = self._top_k(uu_scores, size, positive_only=True)
-        uu_top = uu_top[np.argsort(-uu_scores[uu_top], kind="stable")]
-        return ui_top, uu_top
+        seen = _item_coordinates([history])
+        ranked: List[np.ndarray] = []
+        for scores, positive_only in ((ui_scores, False), (uu_scores, True)):
+            top, keep = _top_columns(scores, seen, size, positive_only)
+            top = top[0][keep[0]]
+            ranked.append(top[np.argsort(-scores[0, top], kind="stable")])
+        return ranked[0], ranked[1]
 
     def _require_fitted(self) -> None:
         if not self._fitted or self.merger is None:

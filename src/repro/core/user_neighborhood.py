@@ -18,15 +18,17 @@ model's embeddings, which is what makes it a drop-in, real-time plugin.
 
 Implementation: the recent-items table is kept both as per-user lists (the
 mutable source of truth for real-time updates) and as a CSR-style pair of
-``(indptr, indices)`` arrays over users.  Eq. 12 then reduces to one gather
-plus one ``bincount`` — a sparse-matrix/dense-vector product — instead of a
-Python double loop over neighbors × recent items, and
-:meth:`score_for_users` amortizes neighborhood identification across a whole
-batch of users through the index's ``search_batch``.
+``(indptr, indices)`` arrays over users.  Eq. 12 for a whole block of users
+then reduces to one gather plus one row-offset ``bincount`` — a
+sparse-matrix/dense-matrix product — instead of a Python loop over users,
+neighbors and recent items, and :meth:`score_for_users` amortizes
+neighborhood identification across the batch through the index's
+``search_batch``.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,16 +47,17 @@ from .cache import ServingCache, history_fingerprint, serve_batch
 
 __all__ = ["UserNeighborhoodComponent"]
 
+#: Rows per block of the window-wide score passes (eq. 12 here, candidate
+#: selection in :mod:`repro.core.sccf`): a fit runs every training user through
+#: them, and whole-fit temporaries cost the headline stack 60 MB of peak RSS.
+_ROW_BLOCK = 256
 
-def _gather_slices(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate ``values[starts[j]:starts[j]+counts[j]]`` without a Python loop."""
 
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=values.dtype)
-    block_ends = np.cumsum(counts)
-    offsets = np.arange(total) - np.repeat(block_ends - counts, counts)
-    return values[np.repeat(starts, counts) + offsets]
+def _item_coordinates(item_lists: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(rows, items)`` index arrays addressing row ``r``'s ``item_lists[r]``."""
+
+    rows = np.repeat(np.arange(len(item_lists)), [len(items) for items in item_lists])
+    return rows, np.fromiter(chain.from_iterable(item_lists), dtype=np.int64)
 
 
 class UserNeighborhoodComponent:
@@ -267,48 +270,65 @@ class UserNeighborhoodComponent:
     # ------------------------------------------------------------------ #
     # local scoring (eq. 12)
     # ------------------------------------------------------------------ #
-    def _scores_from_neighbors(
-        self, neighbor_ids: np.ndarray, similarities: np.ndarray
+    def _votes(
+        self,
+        neighborhoods: Sequence[Tuple[np.ndarray, np.ndarray]],
+        exclusions: Sequence[Sequence[int]],
     ) -> np.ndarray:
-        """Eq. (12) as one sparse product: gather recent-item rows, bincount votes."""
+        """Eq. (12) for each ``(neighbor_ids, similarities)`` row, ``exclusions[r]`` zeroed.
+
+        Positive similarities vote: neighbors in ``_recent_overrides`` first,
+        one ``np.add.at`` each, then the rest of a ``_ROW_BLOCK`` of rows in one
+        ``bincount`` over row-offset item ids, so every score sums in the
+        order of a per-row product.
+        """
 
         self._ensure_recent_csr()
-        positive = similarities > 0
-        neighbor_ids = np.asarray(neighbor_ids, dtype=np.int64)[positive]
-        weights = np.asarray(similarities, dtype=np.float64)[positive]
-        scores = np.zeros(self.num_items, dtype=np.float64)
-        if not len(neighbor_ids):
-            return scores
+        scores = np.zeros((len(neighborhoods), self.num_items), dtype=np.float64)
+        for start in range(0, len(neighborhoods), _ROW_BLOCK):
+            block = slice(start, start + _ROW_BLOCK)
+            self._add_votes(scores[block], neighborhoods[block])
+        rows, items = _item_coordinates(exclusions)
+        inside = (items >= 0) & (items < self.num_items)
+        scores.reshape(-1)[(rows * self.num_items + items)[inside]] = 0.0
+        return scores
 
+    def _add_votes(
+        self, out: np.ndarray, neighborhoods: Sequence[Tuple[np.ndarray, np.ndarray]]
+    ) -> None:
+        """Add the eq. (12) votes of ``neighborhoods`` into ``out``, a contiguous block of rows."""
+
+        neighbor_ids = np.concatenate([ids for ids, _ in neighborhoods]).astype(np.int64, copy=False)
+        weights = np.concatenate([sims for _, sims in neighborhoods]).astype(np.float64, copy=False)
+        # a vote's cell in the flattened block is its row's offset + the item id
+        offsets = np.repeat(
+            np.arange(len(neighborhoods)) * self.num_items, [len(ids) for ids, _ in neighborhoods]
+        )
+        voting = weights > 0
         if self._recent_overrides:
-            overridden = np.asarray(
-                [int(user) in self._recent_overrides for user in neighbor_ids], dtype=bool
+            overridden = np.fromiter(
+                (int(user) in self._recent_overrides for user in neighbor_ids),
+                dtype=bool,
+                count=len(neighbor_ids),
             )
-            for user, weight in zip(neighbor_ids[overridden], weights[overridden]):
-                items = self._recent_overrides[int(user)]
+            flat = out.reshape(-1)
+            for j in np.flatnonzero(voting & overridden):
+                items = self._recent_overrides[int(neighbor_ids[j])]
                 if len(items):
-                    np.add.at(scores, items, weight)
-            neighbor_ids = neighbor_ids[~overridden]
-            weights = weights[~overridden]
-            if not len(neighbor_ids):
-                return scores
-
+                    np.add.at(flat, offsets[j] + items, weights[j])
+            voting &= ~overridden
+        neighbor_ids, weights, offsets = neighbor_ids[voting], weights[voting], offsets[voting]
         starts = self._recent_indptr[neighbor_ids]
         counts = self._recent_indptr[neighbor_ids + 1] - starts
-        voted_items = _gather_slices(self._recent_indices, starts, counts)
-        if len(voted_items):
-            scores += np.bincount(
-                voted_items, weights=np.repeat(weights, counts), minlength=self.num_items
-            )
-        return scores
-
-    @staticmethod
-    def _zero_excluded(scores: np.ndarray, exclude_items: Optional[Iterable[int]]) -> np.ndarray:
-        if exclude_items is not None:
-            exclude_list = [item for item in exclude_items if 0 <= item < len(scores)]
-            if exclude_list:
-                scores[np.asarray(exclude_list, dtype=np.int64)] = 0.0
-        return scores
+        ends = np.cumsum(counts)
+        if not len(ends) or not ends[-1]:
+            return
+        # vote v is cast by neighbor voter[v]: its recent item number v - (ends - counts)[voter]
+        voter = np.repeat(np.arange(len(counts)), counts)
+        items = self._recent_indices[np.arange(ends[-1]) + (starts + counts - ends)[voter]]
+        out += np.bincount(
+            items + offsets[voter], weights=weights[voter], minlength=out.size
+        ).reshape(out.shape)
 
     def uu_scores(
         self,
@@ -319,9 +339,9 @@ class UserNeighborhoodComponent:
         """Similarity-weighted neighbor votes for every item in the catalog."""
 
         self._require_fitted()
-        neighbor_ids, similarities = self.neighbors(user_embedding, exclude_user)
-        scores = self._scores_from_neighbors(neighbor_ids, similarities)
-        return self._zero_excluded(scores, exclude_items)
+        neighborhood = self.neighbors(user_embedding, exclude_user)
+        exclusions = [[] if exclude_items is None else list(exclude_items)]
+        return self._votes([neighborhood], exclusions)[0]
 
     def score_for_user(
         self,
@@ -331,8 +351,9 @@ class UserNeighborhoodComponent:
     ) -> np.ndarray:
         """eq. (12) with the paper's convention of never re-recommending ``R⁺_u``."""
 
-        exclude_items = history if history is not None else self._recent_items.get(user_id, [])
-        return self.uu_scores(user_embedding, exclude_user=user_id, exclude_items=exclude_items)
+        return self.score_for_users(
+            [user_id], user_embeddings=np.asarray(user_embedding)[None, :], histories=[history]
+        )[0]
 
     def score_for_users(
         self,
@@ -344,10 +365,10 @@ class UserNeighborhoodComponent:
 
         Neighborhoods for the whole batch come from one ``search_batch`` call
         (a single query-matrix matmul on the default brute-force index), and
-        each user's eq. (12) is a gather + ``bincount``.  ``user_embeddings``
-        defaults to the fitted embeddings of ``user_ids``; ``histories``
-        optionally overrides the per-user exclusion lists exactly like the
-        ``history`` argument of :meth:`score_for_user`.
+        eq. (12) is one gather + ``bincount`` per block of rows.
+        ``user_embeddings`` defaults to the fitted embeddings of ``user_ids``;
+        ``histories`` optionally overrides the per-user exclusion lists
+        exactly like the ``history`` argument of :meth:`score_for_user`.
         """
 
         self._require_fitted()
@@ -368,16 +389,13 @@ class UserNeighborhoodComponent:
         neighborhoods = self._batch_neighborhoods(
             user_ids, user_embeddings, histories, explicit_embeddings
         )
-
-        scores = np.zeros((len(user_ids), self.num_items), dtype=np.float64)
-        for row, (neighbor_ids, similarities) in enumerate(neighborhoods):
-            scores[row] = self._scores_from_neighbors(neighbor_ids, similarities)
-            if histories is not None and histories[row] is not None:
-                exclude_items: Iterable[int] = histories[row]
-            else:
-                exclude_items = self._recent_items.get(user_ids[row], [])
-            self._zero_excluded(scores[row], exclude_items)
-        return scores
+        exclusions = [
+            histories[row]
+            if histories is not None and histories[row] is not None
+            else self._recent_items.get(user, [])
+            for row, user in enumerate(user_ids)
+        ]
+        return self._votes(neighborhoods, exclusions)
 
     def _batch_neighborhoods(
         self,

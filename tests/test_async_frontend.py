@@ -30,6 +30,7 @@ import repro.ann.ivf as ivf_module
 from repro.ann import IVFIndex
 from repro.core import SCCF, SCCFConfig
 from repro.core.realtime import RealTimeServer, RecommendRequest
+from repro.core.sccf import _NEG_INF
 from repro.serving import AsyncFrontend, FrontendStats, QueueFull
 from repro.testing import FaultInjector, InjectedFault
 
@@ -351,15 +352,23 @@ class TestAdmissionValidation:
         asyncio.run(scenario())
 
     def test_empty_score_row_returns_empty_list(self, tiny_dataset, trained_fism):
-        # the argpartition(kth=-1) guard: a zero-width score row (zero-item
-        # catalog, fully-degraded shard answer) yields [] instead of crashing
+        # a zero-width score row (zero-item catalog, fully-degraded shard
+        # answer) and a row without a single candidate (every entry the
+        # _NEG_INF sentinel) both rank to [] instead of crashing or padding
         server = _fresh_server(tiny_dataset, trained_fism)
         user = tiny_dataset.evaluation_users()[0]
         server.sccf.score_items_batch = lambda users, histories=None: np.empty(
             (len(users), 0)
         )
         assert server.recommend(user, k=5, exclude_seen=False) == []
-        assert server._top_items(np.empty(0), 5) == []
+        server.sccf.score_items_batch = lambda users, histories=None: np.full(
+            (len(users), tiny_dataset.num_items), _NEG_INF
+        )
+        window = [
+            RecommendRequest(user_id=user, k=5),
+            RecommendRequest(user_id=user, k=9, exclude_seen=False),
+        ]
+        assert server.recommend_batch(window) == [[], []]
 
 
 # --------------------------------------------------------------------- #

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import SCCF, SCCFConfig
+from repro.core.sccf import _candidate_sets
 from repro.data import load_preset
 from repro.models import FISM, Popularity
 
@@ -100,34 +101,39 @@ class TestMergeCandidates:
     def test_merged_candidates_deduplicated_and_seen_free(self, fitted_sccf, tiny_dataset):
         """The unsorted-unique merge keeps union1d's set semantics."""
 
-        for user in tiny_dataset.evaluation_users()[:5]:
-            history = tiny_dataset.train.user_sequence(user)
-            embedding = fitted_sccf.ui_model.infer_user_embedding(history)
-            ui_scores = fitted_sccf.ui_model.ui_scores(embedding)
-            uu_scores = fitted_sccf.neighborhood.score_for_user(user, embedding, history=history)
-            merged = fitted_sccf._merge_candidates(ui_scores, uu_scores, history)
+        users = tiny_dataset.evaluation_users()[:5]
+        histories = [tiny_dataset.train.user_sequence(user) for user in users]
+        embeddings = fitted_sccf.ui_model.infer_user_embeddings_batch(histories)
+        ui_matrix = embeddings @ fitted_sccf.ui_model.item_embeddings().T
+        uu_matrix = fitted_sccf.neighborhood.score_for_users(
+            users, user_embeddings=embeddings, histories=histories
+        )
+        size = min(fitted_sccf.config.candidate_list_size, fitted_sccf.num_items)
+        merged_sets = _candidate_sets(ui_matrix, uu_matrix, histories, size)
+        for merged, ui_scores, uu_scores, history in zip(merged_sets, ui_matrix, uu_matrix, histories):
             # deduplicated
             assert len(merged) == len(set(merged.tolist()))
             # no already-seen items
             assert not set(merged.tolist()) & set(history)
-            # same candidate *set* as the old sorted union
-            from repro.models.base import exclude_seen_items
-
-            size = min(fitted_sccf.config.candidate_list_size, fitted_sccf.num_items)
-            ui_top = fitted_sccf._top_k(exclude_seen_items(ui_scores, history), size)
-            uu_top = fitted_sccf._top_k(
-                exclude_seen_items(uu_scores, history), size, positive_only=True
-            )
+            # same candidate *set* as the sorted union of the two top-N lists
+            ui_scores, uu_scores = ui_scores.copy(), uu_scores.copy()
+            ui_scores[history] = -np.inf
+            uu_scores[history] = -np.inf
+            ui_top = np.argpartition(-ui_scores, kth=size - 1)[:size]
+            ui_top = ui_top[np.isfinite(ui_scores[ui_top])]
+            uu_top = np.argpartition(-uu_scores, kth=size - 1)[:size]
+            uu_top = uu_top[uu_scores[uu_top] > 0]
             np.testing.assert_array_equal(np.sort(merged), np.union1d(ui_top, uu_top))
 
     def test_merge_with_overlapping_lists(self, fitted_sccf):
-        ui_scores = np.zeros(fitted_sccf.num_items)
-        uu_scores = np.zeros(fitted_sccf.num_items)
-        ui_scores[[1, 2, 3]] = [3.0, 2.0, 1.0]
-        uu_scores[[2, 3, 4]] = [3.0, 2.0, 1.0]
-        merged = fitted_sccf._merge_candidates(ui_scores, uu_scores, history=[])
-        assert len(merged) == len(set(merged.tolist()))
-        assert {2, 3, 4} <= set(merged.tolist())
+        ui_scores = np.zeros((1, fitted_sccf.num_items))
+        uu_scores = np.zeros((1, fitted_sccf.num_items))
+        ui_scores[0, [1, 2, 3]] = [3.0, 2.0, 1.0]
+        uu_scores[0, [2, 3, 4]] = [3.0, 2.0, 1.0]
+        [merged] = _candidate_sets(ui_scores, uu_scores, [[]], size=3)
+        # the UI list first, then the one UU item it lacks
+        assert sorted(merged[:3].tolist()) == [1, 2, 3]
+        assert merged[3:].tolist() == [4]
 
 
 class TestFitting:

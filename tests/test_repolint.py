@@ -219,6 +219,38 @@ class TestBatchOfOne:
         assert codes(findings) == ["RL003"]
         assert "try block" in findings[0].message
 
+    def test_single_row_eq12_beside_score_for_users_fires(self):
+        # a second, single-row eq. 12 next to the window-wide one
+        findings = lint_snippet(
+            """
+            class Neighborhood:
+                def score_for_users(self, user_ids, user_embeddings=None, histories=None):
+                    return self._votes(user_ids, histories)
+
+                def score_for_user(self, user_id, user_embedding, history=None):
+                    neighbors = self.neighbors(user_embedding, user_id)
+                    return self._scores_from_neighbors(*neighbors)
+            """
+        )
+        assert codes(findings) == ["RL003"]
+        assert "Neighborhood.score_for_user" in findings[0].message
+        assert "never calls self.score_for_users" in findings[0].message
+
+    def test_score_for_user_delegating_to_score_for_users_passes(self):
+        findings = lint_snippet(
+            """
+            class Neighborhood:
+                def score_for_users(self, user_ids, user_embeddings=None, histories=None):
+                    return self._votes(user_ids, histories)
+
+                def score_for_user(self, user_id, user_embedding, history=None):
+                    return self.score_for_users(
+                        [user_id], user_embeddings=user_embedding[None, :], histories=[history]
+                    )[0]
+            """
+        )
+        assert findings == []
+
     def test_frontend_bypassing_held_batch_path_fires(self):
         # A front-end that routes windows through server.recommend_batch must
         # not sneak a per-request helper onto server.recommend.

@@ -640,7 +640,7 @@ class TestServingCacheIntegration:
 class TestFrozenMerger:
     def _example_features(self, sccf, dataset):
         for user in range(dataset.num_users):
-            features = sccf._candidate_features(user, dataset.train.user_sequence(user))
+            [features] = sccf._candidate_features_batch([user], [dataset.train.user_sequence(user)])
             if features is not None:
                 return features
         raise AssertionError("no user with candidates")

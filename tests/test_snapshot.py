@@ -245,7 +245,7 @@ class TestMergerRoundTrip:
         assert restored.generation == merger.generation
         user = tiny_dataset.evaluation_users()[0]
         history = tiny_dataset.train.user_sequence(user)
-        features = fitted_sccf._candidate_features(user, history)
+        [features] = fitted_sccf._candidate_features_batch([user], [history])
         assert features is not None
         np.testing.assert_array_equal(merger.predict(features), restored.predict(features))
 

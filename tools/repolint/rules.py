@@ -182,6 +182,7 @@ BATCH_WRAPPERS = {
     "update_user": "update_users",
     "score_items": "score_items_batch",
     "recommend": "recommend_batch",
+    "score_for_user": "score_for_users",
 }
 
 _WRAPPER_FORBIDDEN = (ast.For, ast.AsyncFor, ast.While, ast.Try, ast.With)
