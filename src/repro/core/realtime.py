@@ -703,7 +703,7 @@ class RealTimeServer:
         Closes the mutation journal, replays its entries onto the shadow (so
         the shadow is bit-identical to an in-place retrain that saw the same
         mutations), bumps the epoch past the live index's — exactly one bump,
-        so epoch-validated cache layers invalidate once — and swaps the
+        so epoch-validated cache entries invalidate once — and swaps the
         reference.  The swap is a single assignment of a local name
         (machine-enforced by repolint's RL007): readers see either the old
         index or the fully built new one, never a half-retrained state.

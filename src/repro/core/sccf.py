@@ -30,7 +30,7 @@ import numpy as np
 from ..ann import NeighborIndex
 from ..data.datasets import RecDataset
 from ..models.base import InductiveUIModel, Recommender
-from .cache import CacheStats, ServingCache, history_fingerprint, serve_batch
+from .cache import CacheStats, ServingCache
 from .merger import CandidateFeatures, IntegratingMLP
 from .user_neighborhood import _ROW_BLOCK, UserNeighborhoodComponent, _item_coordinates
 
@@ -100,14 +100,14 @@ class SCCFConfig:
     scatter-gather shards, searched one after the other on the caller's
     thread (bit-identical results, lower per-shard load).
     ``cache_capacity > 0`` attaches a versioned
-    :class:`~repro.core.cache.ServingCache` of that per-layer capacity, so
-    repeat requests skip recomputing embeddings, neighbor lists and fused
-    scores whose version/epoch counters are unchanged.
+    :class:`~repro.core.cache.ServingCache` holding that many recommendation
+    lists, so a repeat ``RealTimeServer.recommend`` whose version/epoch
+    counters are unchanged returns the stored list instead of scoring.
     ``failure_policy`` governs what the sharded neighbor index does when a
     shard cannot answer: ``"raise"`` propagates the failure, ``"degrade"``
     serves from the surviving shards (partial answers are never cached — the
-    stack snapshots the index's ``degraded_requests`` counter around every
-    compute to keep them out of the serving cache).
+    server snapshots the index's ``degraded_requests`` counter around each
+    scoring pass to keep them out of the serving cache).
     """
 
     num_neighbors: int = 100
@@ -165,7 +165,7 @@ class SCCF(Recommender):
         )
         if cache is None and self.config.cache_capacity > 0:
             cache = ServingCache(self.config.cache_capacity)
-        #: the versioned serving cache shared by the scoring stack (or None)
+        #: the versioned serving cache of this stack's servers' recommend path (or None)
         self.cache: Optional[ServingCache] = None
         self.attach_cache(cache)
         self.merger: Optional[IntegratingMLP] = None
@@ -192,6 +192,10 @@ class SCCF(Recommender):
         self._user_histories = dataset.train.user_sequences()
 
         self.neighborhood.fit(self.ui_model, dataset)
+        # The re-fit resets the version counters the cached lists were
+        # validated against, so they must all go.
+        if self.cache is not None:
+            self.cache.clear()
         self.merger = IntegratingMLP(
             embedding_dim=self.ui_model.embedding_dim,
             hidden_dims=self.config.merger_hidden_dims,
@@ -313,10 +317,8 @@ class SCCF(Recommender):
         self._require_fitted()
         resolved = self._resolve_batch_histories(user_ids, histories)
         if self.mode == "sccf":
-            # Embeddings are fetched lazily inside the fused path: a request
-            # served from the scores layer never needs them.
             return self._fused_scores_batch(user_ids, resolved)
-        user_embeddings = self._batch_user_embeddings(user_ids, resolved)
+        user_embeddings = self.ui_model.infer_user_embeddings_batch(resolved)
         if self.mode == "ui":
             return user_embeddings @ self.ui_model.item_embeddings().T
         return self.neighborhood.score_for_users(
@@ -327,12 +329,11 @@ class SCCF(Recommender):
     # versioned serving cache
     # ------------------------------------------------------------------ #
     def attach_cache(self, cache: Optional[ServingCache]) -> "SCCF":
-        """Attach a serving cache to every layer of this stack (``None`` detaches).
+        """Attach the serving cache its servers use (``None`` detaches).
 
         The one sanctioned wiring path: binds the cache to this SCCF (one
         stack per cache — entry keys carry no model discriminator, so a
-        shared cache would cross-serve entries) and hands it to the
-        neighborhood component.
+        shared cache would cross-serve entries).
         """
 
         if cache is not None:
@@ -341,7 +342,6 @@ class SCCF(Recommender):
         if outgoing is not None and outgoing is not cache:
             outgoing.unbind(self)
         self.cache = cache
-        self.neighborhood.cache = cache
         return self
 
     def cache_stats(self) -> Optional[CacheStats]:
@@ -350,104 +350,23 @@ class SCCF(Recommender):
         return self.cache.stats() if self.cache is not None else None
 
     def _serving_token(self, user_id: int, epoch: int) -> Tuple[int, int, int]:
-        """The monotonic counter triple every fused-result cache entry validates against.
-
-        One definition consumed by both the ``scores`` layer
-        (:meth:`_fused_scores_batch`) and the server's ``recommendations``
-        layer, so the invalidation contract cannot drift between them.
-        """
+        """The monotonic counter triple a ``recommendations`` entry validates against."""
 
         return (self.neighborhood.user_version(user_id), epoch, self.merger.generation)
-
-    def _batch_user_embeddings(
-        self, user_ids: Sequence[int], resolved: Sequence[Sequence[int]]
-    ) -> np.ndarray:
-        """Per-user embeddings with the cache's ``embeddings`` layer applied.
-
-        An embedding is a pure function of the history (model weights only
-        change through :meth:`fit`, which clears the cache), so entries are
-        keyed on ``(user, history fingerprint)`` with a constant token: they
-        survive every mutation elsewhere, including ``retrain``.  Only the
-        cache misses pay the batched UI forward.
-        """
-
-        if self.cache is None or not len(user_ids):
-            return self.ui_model.infer_user_embeddings_batch(resolved)
-        keys = [
-            (int(user), history_fingerprint(history))
-            for user, history in zip(user_ids, resolved)
-        ]
-
-        def compute(missing: List[int]) -> List[np.ndarray]:
-            fresh = np.asarray(
-                self.ui_model.infer_user_embeddings_batch([resolved[i] for i in missing])
-            )
-            # copy(): caching a view would pin the whole batch array in
-            # memory for the life of each entry
-            return [row.copy() for row in fresh]
-
-        # No cacheable= guard on purpose: user embeddings derive only from the
-        # user's own history (no index scatter-gather is involved), so this
-        # layer can never observe a degraded result.
-        rows = serve_batch(  # repolint: disable=RL004
-            self.cache.embeddings, keys, [0] * len(keys), compute
-        )
-        return np.stack(rows)
 
     def _fused_scores_batch(
         self,
         user_ids: Sequence[int],
         resolved: Sequence[Sequence[int]],
     ) -> np.ndarray:
-        """Fused ("sccf"-mode) score rows with the ``scores`` cache layer applied.
+        """Fused ("sccf"-mode) score rows: the merger's scores on each row's candidates."""
 
-        Rows are keyed on ``(user, history fingerprint)`` and validated
-        against ``(user_version, index_epoch, merger generation)`` — any
-        mutation anywhere in the neighbor index bumps the epoch (other
-        users' embeddings and recent items feed the fused scores), and a
-        re-trained merger bumps its generation.  Misses run batched
-        candidate construction as before, fetching their user embeddings
-        (through the embeddings layer) only for the rows that need them.
-        """
-
-        item_embeddings = self.ui_model.item_embeddings()
-        epoch = getattr(self.neighborhood.index, "epoch", None)
-        cache_layer = self.cache.scores if self.cache is not None and epoch is not None else None
-        keys: List[Optional[Tuple]] = [None] * len(user_ids)
-        tokens: List[Optional[Tuple]] = [None] * len(user_ids)
-        if cache_layer is not None:  # keep the uncached path free of hashing
-            for row, (user, history) in enumerate(zip(user_ids, resolved)):
-                keys[row] = (int(user), history_fingerprint(history))
-                tokens[row] = self._serving_token(user, epoch)
-
-        def compute(missing: List[int]) -> List[np.ndarray]:
-            missing_users = [user_ids[row] for row in missing]
-            missing_histories = [resolved[row] for row in missing]
-            features_batch = self._candidate_features_batch(
-                missing_users,
-                missing_histories,
-                item_embeddings=item_embeddings,
-                user_embeddings=self._batch_user_embeddings(missing_users, missing_histories),
-            )
-            fresh: List[np.ndarray] = []
-            for features in features_batch:
-                row = np.full(self.num_items, _NEG_INF, dtype=np.float64)
-                if features is not None:
-                    row[features.candidate_items] = self.merger.predict(features)
-                fresh.append(row)
-            return fresh
-
-        # Rows computed while the neighbor index was serving degraded (some
-        # shard down) are valid to *serve* but must never be memoized: the
-        # token counters do not change when the shard comes back, so a cached
-        # partial row would outlive the outage.
-        degraded_before = getattr(self.neighborhood.index, "degraded_requests", 0)
-        cacheable = lambda: (
-            getattr(self.neighborhood.index, "degraded_requests", 0) == degraded_before
-        )
-        rows = serve_batch(cache_layer, keys, tokens, compute, cacheable=cacheable)
-        # stack() copies, so cached rows stay private to the cache.
-        return np.stack(rows) if rows else np.empty((0, self.num_items), dtype=np.float64)
+        features_batch = self._candidate_features_batch(user_ids, resolved)
+        rows = np.full((len(user_ids), self.num_items), _NEG_INF, dtype=np.float64)
+        for row, features in zip(rows, features_batch):
+            if features is not None:
+                row[features.candidate_items] = self.merger.predict(features)
+        return rows
 
     def candidate_lists(
         self, user_id: int, history: Optional[Sequence[int]] = None

@@ -43,7 +43,6 @@ from ..ann import (
 from ..data.datasets import RecDataset
 from ..data.sequences import recent_window
 from ..models.base import InductiveUIModel
-from .cache import ServingCache, history_fingerprint, serve_batch
 
 __all__ = ["UserNeighborhoodComponent"]
 
@@ -90,8 +89,8 @@ class UserNeighborhoodComponent:
         Forwarded to the :class:`~repro.ann.sharded.ShardedIndex` (only
         consulted when ``num_shards > 1``): ``"raise"`` propagates shard
         failures, ``"degrade"`` serves neighborhoods from the surviving
-        shards — degraded neighborhoods are never written to the serving
-        cache.
+        shards — a list scored from degraded neighborhoods is never written
+        to the serving cache.
     max_user_growth:
         Upper bound on how many rows a single :meth:`add_users` call may
         append (streamed ids are dense, so growth is backed by a dense zero
@@ -154,10 +153,6 @@ class UserNeighborhoodComponent:
         # it onto the shadow before the publish swap.  Bounded by the shadow
         # build's duration — begin/end bracket one maintenance pass.
         self._mutation_journal: Optional[List[Tuple[str, np.ndarray, Optional[np.ndarray]]]] = None
-        #: optional :class:`~repro.core.cache.ServingCache`; when set (SCCF
-        #: attaches its own), :meth:`score_for_users` serves repeat
-        #: neighborhoods from the cache's ``neighbors`` layer.
-        self.cache: Optional[ServingCache] = None
         self._fitted = False
 
     # ------------------------------------------------------------------ #
@@ -195,10 +190,8 @@ class UserNeighborhoodComponent:
         self._user_embeddings = embeddings
         self.index.build(embeddings)
         # A re-fit changes every user's embedding under reset version
-        # counters, so any attached cache must start empty.
+        # counters: whoever caches against them must clear (SCCF.fit does).
         self._user_versions = {}
-        if self.cache is not None:
-            self.cache.clear()
         self._fitted = True
         return self
 
@@ -375,7 +368,6 @@ class UserNeighborhoodComponent:
         user_ids = [int(user) for user in user_ids]
         if histories is not None and len(histories) != len(user_ids):
             raise ValueError("histories must have one entry per user id")
-        explicit_embeddings = user_embeddings is not None
         if user_embeddings is None:
             for user in user_ids:
                 if not 0 <= user < self.num_users:
@@ -386,8 +378,11 @@ class UserNeighborhoodComponent:
             if user_embeddings.shape[0] != len(user_ids):
                 raise ValueError("user_embeddings must have one row per user id")
 
-        neighborhoods = self._batch_neighborhoods(
-            user_ids, user_embeddings, histories, explicit_embeddings
+        neighborhoods = search_batch(
+            self.index,
+            user_embeddings,
+            self.num_neighbors,
+            exclude_per_query=[np.asarray([user], dtype=np.int64) for user in user_ids],
         )
         exclusions = [
             histories[row]
@@ -396,58 +391,6 @@ class UserNeighborhoodComponent:
             for row, user in enumerate(user_ids)
         ]
         return self._votes(neighborhoods, exclusions)
-
-    def _batch_neighborhoods(
-        self,
-        user_ids: Sequence[int],
-        user_embeddings: np.ndarray,
-        histories: Optional[Sequence[Optional[Sequence[int]]]],
-        explicit_embeddings: bool = False,
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Per-user ``(neighbor_ids, similarities)`` with cache-aware batching.
-
-        Without a cache this is one ``search_batch`` over the whole batch.
-        With one, each user's stored result is keyed on the inputs the
-        version counters cannot see — the history fingerprint and, when the
-        caller supplied the query embeddings explicitly
-        (``explicit_embeddings``), a hash of her query row — and validated
-        against ``(user_version, index_epoch)``: any index mutation anywhere
-        bumps the epoch and invalidates it.  Only the remaining rows pay the
-        batched search.  Indexes without an ``epoch`` counter (third-party
-        backends) disable this layer; results are then always recomputed.
-        """
-
-        epoch = getattr(self.index, "epoch", None)
-        cache_layer = self.cache.neighbors if self.cache is not None and epoch is not None else None
-        keys: List[Optional[Tuple]] = [None] * len(user_ids)
-        tokens: List[Optional[Tuple]] = [None] * len(user_ids)
-        if cache_layer is not None:  # keep the uncached path free of hashing
-            for row, user in enumerate(user_ids):
-                history = histories[row] if histories is not None else None
-                query_key = (
-                    hash(np.ascontiguousarray(user_embeddings[row]).tobytes())
-                    if explicit_embeddings
-                    else None
-                )
-                keys[row] = (user, history_fingerprint(history), query_key)
-                tokens[row] = (self.user_version(user), epoch)
-
-        def compute(missing: List[int]) -> List[Tuple[np.ndarray, np.ndarray]]:
-            rows = np.asarray(missing, dtype=np.int64)
-            exclusions = [np.asarray([user_ids[row]], dtype=np.int64) for row in missing]
-            return search_batch(
-                self.index, user_embeddings[rows], self.num_neighbors, exclude_per_query=exclusions
-            )
-
-        # Neighborhoods computed while the index was serving degraded (a
-        # shard down under failure_policy="degrade") must be served but not
-        # memoized: the epoch does not move when the shard heals, so a cached
-        # survivors-only neighborhood would outlive the outage.
-        degraded_before = getattr(self.index, "degraded_requests", 0)
-        cacheable = lambda: (
-            getattr(self.index, "degraded_requests", 0) == degraded_before
-        )
-        return serve_batch(cache_layer, keys, tokens, compute, cacheable=cacheable)
 
     # ------------------------------------------------------------------ #
     # real-time maintenance

@@ -1,7 +1,8 @@
-"""Ablation studies of the design choices DESIGN.md calls out.
+"""Ablation studies of the framework's design choices.
 
 These go beyond the paper's own tables; they quantify the contribution of
-pieces of the framework that the paper fixes by design:
+pieces of the framework that the paper fixes by design (the README's
+"Deviations from the paper" section describes how the merger is trained here):
 
 * **Merger ablation** — full SCCF (per-user normalized features + MLP) vs a
   simple score-interpolation fusion ``λ·r̃^UI + (1-λ)·r̃^UU`` and vs the raw

@@ -170,10 +170,11 @@ def make_sccf(
     ``num_shards > 1`` serves the user-neighbor index through a scatter-gather
     sharded index (:class:`~repro.ann.sharded.ShardedIndex`; same results,
     sharded load).  ``cache_capacity > 0`` attaches the versioned serving
-    cache (:class:`~repro.core.cache.ServingCache`) so repeat-visitor requests
-    are served without recomputation.  ``failure_policy="degrade"`` keeps the
-    sharded index serving from surviving shards through a shard failure
-    instead of raising (degraded answers are never cached).
+    cache (:class:`~repro.core.cache.ServingCache`) holding that many
+    recommendation lists, so a repeat visitor whose version/epoch counters
+    are unchanged gets the stored list back.  ``failure_policy="degrade"``
+    keeps the sharded index serving from surviving shards through a shard
+    failure instead of raising (degraded answers are never cached).
     """
 
     config = SCCFConfig(

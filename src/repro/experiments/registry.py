@@ -1,8 +1,9 @@
 """Registry mapping experiment ids (table/figure numbers) to their runners.
 
 The benchmark suite and the command-line entry point both look experiments up
-here, so DESIGN.md's per-experiment index has a single source of truth in
-code.
+here, so this module is the one index of which runner regenerates which table
+or figure (the README's introduction points at ``benchmarks/``, which runs
+them).
 """
 
 from __future__ import annotations

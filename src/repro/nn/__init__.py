@@ -1,7 +1,9 @@
 """NumPy-backed neural network substrate (autograd, layers, optimizers).
 
-This package stands in for the TensorFlow stack the paper used; see DESIGN.md
-for the substitution rationale.  Public surface:
+This package stands in for the TensorFlow stack the paper used, so the
+reproduction needs NumPy only (README introduction; the README's "Deviations
+from the paper" section lists where the training itself differs).  Public
+surface:
 
 * :class:`~repro.nn.tensor.Tensor`, :func:`~repro.nn.tensor.no_grad`
 * ``repro.nn.functional`` — embedding lookup, softmax, dropout, losses

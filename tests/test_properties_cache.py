@@ -2,17 +2,19 @@
 
 The versioned serving cache claims *invalidation correctness*: under any
 interleaving of ``observe`` / ``observe_batch`` / ``recommend`` /
-``maintain`` (including cold-start users growing the pool and IVF retrains
-rebuilding the whole cell partition), a server with the cache attached
-returns exactly the results of a server without it.  Hypothesis drives
-random op sequences against a deepcopied pair of fitted SCCF stacks and
-asserts:
+``score_items_batch`` / ``maintain`` (including cold-start users growing the
+pool and IVF retrains rebuilding the whole cell partition), a server with the
+cache attached returns exactly the results of a server without it.
+Hypothesis drives random op sequences against a deepcopied pair of fitted
+SCCF stacks and asserts:
 
 * every ``recommend`` answer is identical, id-for-id and order-for-order;
-* final catalog scores (``score_items``, the batch-of-one serving shape) are
-  bit-identical for every sampled user;
+* every ``score_items_batch`` matrix is bit-identical, at batch widths 1, 3
+  and 10 mixed in one sequence;
+* final catalog scores (``score_items``) are bit-identical for every sampled
+  user;
 * final neighborhood embedding matrices are bit-identical;
-* every cache layer respects its LRU capacity bound at every step;
+* the cache respects its LRU capacity bound at every step;
 * per-user version counters and the index epoch never decrease.
 
 The base model is FISM, whose pooled inference is exactly batch-shape
@@ -76,6 +78,7 @@ def _op_sequences(num_users: int, num_items: int, with_maintain: bool):
             st.integers(1, 12),
         ),
         st.tuples(st.just("batch"), st.integers(0, 2**31 - 1), st.integers(2, 6)),
+        st.tuples(st.just("score"), st.integers(0, 2**31 - 1), st.sampled_from([1, 3, 10])),
     ]
     if with_maintain:
         ops.append(st.tuples(st.just("maintain")))
@@ -109,13 +112,18 @@ def _replay(stack, ops, capacity: int):
             ]
             for server in servers:
                 server.observe_batch(events)
+        elif op[0] == "score":
+            rng = np.random.default_rng(op[1])
+            users = rng.integers(0, plain.neighborhood.num_users, size=op[2]).tolist()
+            assert np.array_equal(
+                plain.score_items_batch(users), cached.score_items_batch(users)
+            ), f"score_items_batch diverged on {op}"
         else:
             reports = [server.maintain() for server in servers]
             assert reports[0].retrained == reports[1].retrained
 
-        # LRU bounds hold at every step, not just at the end.
-        for layer in cached.cache.layers:
-            assert len(layer) <= capacity
+        # The LRU bound holds at every step, not just at the end.
+        assert len(cached.cache) <= capacity
         # Version counters and the epoch are monotone.
         epoch = cached.neighborhood.index.epoch
         assert epoch >= last_epoch
@@ -129,11 +137,8 @@ def _replay(stack, ops, capacity: int):
             for user in touched:
                 last_versions[user] = cached.neighborhood.user_version(user)
 
-    # Final state parity: full catalog scores per user (the serving path is
-    # batch-of-one; cache entries are reused only under identical batch
-    # shapes there, which is what makes bit-identity achievable at all — a
-    # float32 index search answers a 10-row batch a few float32 ulps apart
-    # from a 1-row batch), and the neighborhood embedding matrices.
+    # Final state parity: full catalog scores per user and the neighborhood
+    # embedding matrices.
     for user in range(min(10, plain.neighborhood.num_users)):
         np.testing.assert_array_equal(plain.score_items(user), cached.score_items(user))
     np.testing.assert_array_equal(

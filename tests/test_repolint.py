@@ -286,23 +286,15 @@ class TestBatchOfOne:
 # RL004 — degraded-not-cached
 # --------------------------------------------------------------------- #
 class TestDegradedNotCached:
-    def test_serve_batch_without_cacheable_fires(self):
+    def test_put_in_the_else_of_a_degraded_check_passes(self):
+        # the shape of RealTimeServer.recommend_batch's one cache write
         findings = lint_snippet(
             """
-            def recommend(layer, keys, tokens, compute):
-                return serve_batch(layer, keys, tokens, compute)
-            """
-        )
-        assert codes(findings) == ["RL004"]
-        assert "cacheable" in findings[0].message
-
-    def test_serve_batch_with_cacheable_passes(self):
-        findings = lint_snippet(
-            """
-            def recommend(layer, keys, tokens, compute, server):
-                return serve_batch(
-                    layer, keys, tokens, compute, cacheable=lambda: not server.degraded
-                )
+            def serve(cache, key, token, result, degraded):
+                if degraded:
+                    return result
+                elif key is not None:
+                    cache.recommendations.put(key, token, result)
             """
         )
         assert findings == []

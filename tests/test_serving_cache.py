@@ -20,9 +20,8 @@ from repro.core import (
     RealTimeServer,
     SCCFConfig,
     ServingCache,
-    UserNeighborhoodComponent,
 )
-from repro.core.cache import MISS, CacheStats, LayerStats, LRUCache, history_fingerprint
+from repro.core.cache import MISS, CacheStats, LayerStats, LRUCache
 
 
 # --------------------------------------------------------------------- #
@@ -95,84 +94,6 @@ class TestLRUCache:
         assert cache.stats.hits == 1
 
 
-class TestByteBudget:
-    """Memory-budget eviction: the layer is bounded by tracked nbytes, not count."""
-
-    def test_evicts_lru_tail_to_fit_budget(self):
-        row = np.zeros(100)  # 800 bytes
-        cache = LRUCache("scores", capacity=1000, max_bytes=2000)
-        cache.put("a", (0,), row)
-        cache.put("b", (0,), row)
-        assert cache.total_bytes == 1600
-        cache.get("a", (0,))          # refresh "a" — "b" is now LRU
-        cache.put("c", (0,), row)     # 2400 bytes > budget: "b" must go
-        assert cache.total_bytes == 1600
-        assert cache.stats.evictions == 1
-        assert "b" not in cache and "a" in cache and "c" in cache
-
-    def test_entry_count_never_bounds_before_bytes(self):
-        # 100 entries of 8 bytes fit a 1 KiB budget at capacity 1000: far
-        # fewer than capacity, far more than a count-agnostic budget allows.
-        cache = LRUCache("scores", capacity=1000, max_bytes=1024)
-        for index in range(200):
-            cache.put(index, (0,), np.zeros(1))  # 8 bytes each
-        assert len(cache) == 128
-        assert cache.total_bytes == 1024
-
-    def test_oversized_value_is_not_stored(self):
-        cache = LRUCache("scores", capacity=4, max_bytes=100)
-        cache.put("small", (0,), np.zeros(4))
-        cache.put("huge", (0,), np.zeros(1000))
-        assert "huge" not in cache
-        assert cache.get("small", (0,)) is not MISS  # untouched by the refusal
-
-    def test_replacement_updates_tracked_bytes(self):
-        cache = LRUCache("scores", capacity=4, max_bytes=10_000)
-        cache.put("a", (0,), np.zeros(100))
-        cache.put("a", (1,), np.zeros(10))
-        assert cache.total_bytes == 80
-
-    def test_invalidation_and_clear_release_bytes(self):
-        cache = LRUCache("scores", capacity=4, max_bytes=10_000)
-        cache.put("a", (0,), np.zeros(100))
-        assert cache.get("a", (1,)) is MISS  # stale token drops the entry
-        assert cache.total_bytes == 0
-        cache.put("b", (0,), np.zeros(50))
-        cache.clear()
-        assert cache.total_bytes == 0
-
-    def test_container_values_are_summed(self):
-        cache = LRUCache("neighbors", capacity=4, max_bytes=10_000)
-        cache.put("a", (0,), (np.zeros(10), np.zeros(10)))
-        assert cache.total_bytes == 160
-
-    def test_validation_and_wiring(self):
-        with pytest.raises(ValueError, match="max_bytes"):
-            LRUCache("scores", capacity=4, max_bytes=0)
-        with pytest.raises(ValueError):
-            ServingCache(capacity=4, max_score_bytes=-1)
-        cache = ServingCache(capacity=4, max_score_bytes=4096)
-        assert cache.scores.max_bytes == 4096
-        assert cache.embeddings.max_bytes is None  # only the scores layer
-
-    def test_served_scores_respect_budget(self, fitted_sccf, tiny_dataset):
-        """End to end: a tiny budget keeps the scores layer at ~one row."""
-
-        row_bytes = tiny_dataset.num_items * 8
-        cache = ServingCache(capacity=64, max_score_bytes=row_bytes + 1)
-        fitted_sccf.attach_cache(cache)
-        try:
-            users = tiny_dataset.evaluation_users()[:6]
-            scores = fitted_sccf.score_items_batch(users)
-            again = fitted_sccf.score_items_batch(users)
-            np.testing.assert_array_equal(scores, again)  # eviction never corrupts
-            assert cache.scores.total_bytes <= row_bytes + 1
-            assert len(cache.scores) <= 1
-            assert cache.scores.stats.evictions >= len(users) - 1
-        finally:
-            fitted_sccf.attach_cache(None)
-
-
 class TestCacheStats:
     def test_deterministic_accounting(self):
         cache = LRUCache("layer", capacity=2)
@@ -200,16 +121,20 @@ class TestCacheStats:
 
     def test_as_dict_and_summary(self):
         cache = ServingCache(capacity=8)
-        cache.embeddings.put(0, (0,), np.zeros(3))
-        cache.embeddings.get(0, (0,))
+        cache.recommendations.put(0, (0,), (1, 2))
+        cache.recommendations.get(0, (0,))
         report = cache.stats()
         payload = report.as_dict()
         assert payload["hits"] == 1
-        assert {layer["name"] for layer in payload["layers"]} == {
+        # the retired layers are still reported, always at zero
+        assert [layer["name"] for layer in payload["layers"]] == [
             "embeddings", "neighbors", "scores", "recommendations",
-        }
+        ]
+        for name in ("embeddings", "neighbors", "scores"):
+            assert report.layer(name).lookups == 0
+        assert report.layer("recommendations").hits == 1
         text = report.summary()
-        assert "embeddings" in text and "hit rate" in text
+        assert "recommendations" in text and "hit rate" in text
 
     def test_serving_cache_requires_positive_capacity(self):
         with pytest.raises(ValueError):
@@ -217,24 +142,11 @@ class TestCacheStats:
 
     def test_serving_cache_clear_and_len(self):
         cache = ServingCache(capacity=8)
-        cache.scores.put(1, (0,), np.zeros(2))
-        cache.recommendations.put((1, 5, True), (0,), (1, 2))
+        cache.recommendations.put((0, 1, 5, True, "sccf"), (0,), (1, 2))
+        cache.recommendations.put((0, 2, 5, True, "sccf"), (0,), (3, 4))
         assert len(cache) == 2
         cache.clear()
         assert len(cache) == 0
-
-
-class TestHistoryFingerprint:
-    def test_fingerprint_shape(self):
-        assert history_fingerprint(None) == (-1, -1, 0)
-        assert history_fingerprint([]) == (0, -1, hash(()))
-        length, last, digest = history_fingerprint([7, 3, 9])
-        assert (length, last) == (3, 9)
-        assert digest == hash((7, 3, 9))
-
-    def test_same_length_and_last_item_do_not_collide(self):
-        # (length, last) alone would collide here; the content hash must not.
-        assert history_fingerprint([3, 5]) != history_fingerprint([4, 5])
 
 
 # --------------------------------------------------------------------- #
@@ -343,7 +255,6 @@ def cached_sccf(tiny_dataset, trained_fism):
 class TestServingCacheIntegration:
     def test_config_knob_attaches_cache(self, cached_sccf):
         assert isinstance(cached_sccf.cache, ServingCache)
-        assert cached_sccf.neighborhood.cache is cached_sccf.cache
         assert cached_sccf.cache_stats() is not None
 
     def test_cache_disabled_by_default(self, fitted_sccf):
@@ -411,26 +322,27 @@ class TestServingCacheIntegration:
         assert ui_list != fused
 
     def test_interleaved_flows_coexist_instead_of_thrashing(self, cached_sccf, tiny_dataset):
-        """Regression: content fingerprints live in keys, not tokens.
+        """Regression: non-monotonic inputs live in keys, not tokens.
 
-        Alternating two valid histories for one user must not evict each
-        other's entries — the third call hits the first call's entry.
+        Alternating two list lengths for one user must not evict each other's
+        entries — the third call hits the first call's entry.
         """
 
+        server = RealTimeServer(cached_sccf, tiny_dataset)
         user = tiny_dataset.evaluation_users()[0]
-        first = cached_sccf.score_items(user, history=[3, 5])
-        cached_sccf.score_items(user, history=[4, 5])
-        hits_before = cached_sccf.cache.scores.stats.hits
-        invalidations_before = cached_sccf.cache.scores.stats.invalidations
-        np.testing.assert_array_equal(cached_sccf.score_items(user, history=[3, 5]), first)
-        assert cached_sccf.cache.scores.stats.hits == hits_before + 1
-        assert cached_sccf.cache.scores.stats.invalidations == invalidations_before
+        first = server.recommend(user, k=5)
+        server.recommend(user, k=10)
+        layer = cached_sccf.cache.recommendations
+        hits_before, invalidations_before = layer.stats.hits, layer.stats.invalidations
+        assert server.recommend(user, k=5) == first
+        assert layer.stats.hits == hits_before + 1
+        assert layer.stats.invalidations == invalidations_before
 
     def test_merger_refit_invalidates_fused_entries(self, tiny_dataset, trained_fism):
         """Regression: re-training the merger behind a fitted SCCF's back.
 
-        The merger generation is part of the scores/recommendations tokens,
-        so post-hoc merger.fit()/freeze() drops every fused entry.
+        The merger generation is part of the recommendations token, so
+        post-hoc merger.fit()/freeze() drops every cached list.
         """
 
         sccf = SCCF(
@@ -440,12 +352,15 @@ class TestServingCacheIntegration:
                 cache_capacity=64, seed=3,
             ),
         ).fit(tiny_dataset, fit_ui_model=False)
+        server = RealTimeServer(sccf, tiny_dataset)
         user = tiny_dataset.evaluation_users()[0]
-        sccf.score_items(user)
+        server.recommend(user, k=10)
         sccf.merger.freeze()  # the documented hand-mutation hook bumps generation
-        hits_before = sccf.cache.scores.stats.hits
-        sccf.score_items(user)
-        assert sccf.cache.scores.stats.hits == hits_before  # stale entry not served
+        layer = sccf.cache.recommendations
+        hits_before, invalidations_before = layer.stats.hits, layer.stats.invalidations
+        server.recommend(user, k=10)
+        assert layer.stats.hits == hits_before  # stale entry not served
+        assert layer.stats.invalidations == invalidations_before + 1
 
     def test_stats_snapshot_is_frozen(self, cached_sccf, tiny_dataset):
         server = RealTimeServer(cached_sccf, tiny_dataset)
@@ -466,36 +381,32 @@ class TestServingCacheIntegration:
         server.recommend(user_a, k=10)
         assert cached_sccf.cache.recommendations.stats.hits == hits_before
 
-    def test_embedding_cache_survives_other_users_mutations(self, cached_sccf, tiny_dataset):
-        server = RealTimeServer(cached_sccf, tiny_dataset)
-        user_a, user_b = tiny_dataset.evaluation_users()[:2]
-        server.recommend(user_a, k=10)
-        server.observe(user_b, 1)
-        hits_before = cached_sccf.cache.embeddings.stats.hits
-        server.recommend(user_a, k=10)
-        assert cached_sccf.cache.embeddings.stats.hits == hits_before + 1
-
-    def test_score_items_batch_served_from_cache(self, cached_sccf, tiny_dataset):
+    def test_score_items_batch_bypasses_the_cache(self, cached_sccf, tiny_dataset):
         users = tiny_dataset.evaluation_users()[:5]
         first = cached_sccf.score_items_batch(users)
-        second = cached_sccf.score_items_batch(users)
-        np.testing.assert_array_equal(first, second)
-        assert cached_sccf.cache.scores.stats.hits >= len(users)
+        np.testing.assert_array_equal(first, cached_sccf.score_items_batch(users))
+        assert len(cached_sccf.cache) == 0
+        assert cached_sccf.cache_stats().hits + cached_sccf.cache_stats().misses == 0
 
     def test_cached_rows_are_private_copies(self, cached_sccf, tiny_dataset):
-        users = tiny_dataset.evaluation_users()[:2]
-        first = cached_sccf.score_items_batch(users)
-        first[:] = 0.0  # caller mutates her copy
-        second = cached_sccf.score_items_batch(users)
-        assert not np.array_equal(first, second)
+        server = RealTimeServer(cached_sccf, tiny_dataset)
+        user = tiny_dataset.evaluation_users()[0]
+        first = server.recommend(user, k=10)
+        expected = list(first)
+        first.clear()  # the caller mutates its copy
+        hits_before = cached_sccf.cache.recommendations.stats.hits
+        assert server.recommend(user, k=10) == expected
+        assert cached_sccf.cache.recommendations.stats.hits == hits_before + 1
 
     def test_refit_clears_cache(self, cached_sccf, tiny_dataset):
-        users = tiny_dataset.evaluation_users()[:3]
-        cached_sccf.score_items_batch(users)
-        assert len(cached_sccf.cache) > 0
+        server = RealTimeServer(cached_sccf, tiny_dataset)
+        for user in tiny_dataset.evaluation_users()[:3]:
+            server.recommend(user, k=10)
+        assert len(cached_sccf.cache.recommendations) == 3
         cached_sccf.fit(tiny_dataset, fit_ui_model=False)
-        # Entries from before the re-fit cannot survive it.
-        assert len(cached_sccf.cache.scores) == 0
+        # Lists from before the re-fit cannot survive it: the re-fit resets
+        # the version counters they were validated against.
+        assert len(cached_sccf.cache.recommendations) == 0
 
     def test_cache_cannot_be_shared_between_stacks(self, tiny_dataset, trained_fism):
         """Regression: keys carry no model discriminator, so sharing cross-serves."""
@@ -514,8 +425,8 @@ class TestServingCacheIntegration:
             )
         # Detaching releases ownership, so the cache can move to a new stack.
         sccf_a.attach_cache(None)
-        assert sccf_a.cache is None and sccf_a.neighborhood.cache is None
-        cache.scores.put((0, (0, -1, 0)), (0,), np.zeros(2))
+        assert sccf_a.cache is None
+        cache.recommendations.put((0, 0, 5, True, "sccf"), (0, 0, 0), (1, 2))
         reborn = SCCF(
             trained_fism,
             SCCFConfig(num_neighbors=10, candidate_list_size=30, merger_epochs=2, seed=3),
@@ -533,17 +444,18 @@ class TestServingCacheIntegration:
 
         import copy
 
-        cached_sccf.score_items(tiny_dataset.evaluation_users()[0])
+        user = tiny_dataset.evaluation_users()[0]
+        listed = RealTimeServer(cached_sccf, tiny_dataset).recommend(user, k=10)
         clone = copy.deepcopy(cached_sccf)
         assert clone.cache is not cached_sccf.cache
         assert clone.cache._owner() is clone
         assert cached_sccf.cache._owner() is cached_sccf
         # Re-attaching its own cache is a no-op, not a ValueError.
         clone.attach_cache(clone.cache)
-        # The copied entries came along and still serve the clone.
-        hits_before = clone.cache.scores.stats.hits
-        clone.score_items(tiny_dataset.evaluation_users()[0])
-        assert clone.cache.scores.stats.hits == hits_before + 1
+        # The copied entry came along and is still valid for the clone.
+        (key,) = list(clone.cache.recommendations._entries)
+        token = clone._serving_token(user, clone.neighborhood.index.epoch)
+        assert list(clone.cache.recommendations.get(key, token)) == listed
 
     def test_dead_owner_releases_cache(self, tiny_dataset, trained_fism):
         cache = ServingCache(capacity=16)
@@ -567,7 +479,7 @@ class TestServingCacheIntegration:
             SCCFConfig(num_neighbors=10, candidate_list_size=30, merger_epochs=2, seed=3),
             cache=cache,
         ).fit(tiny_dataset, fit_ui_model=False)
-        sccf.score_items(tiny_dataset.evaluation_users()[0])
+        RealTimeServer(sccf, tiny_dataset).recommend(tiny_dataset.evaluation_users()[0], k=10)
         assert sccf.cache is cache
         assert cache.stats().misses > 0
 
@@ -578,8 +490,8 @@ class TestServingCacheIntegration:
     def test_explicit_histories_never_cross_validate(self, cached_sccf, tiny_dataset):
         """Two different explicit histories for one user get distinct scores.
 
-        Regression: a (length, last-item) fingerprint let ``[3, 5]`` serve
-        ``[4, 5]``'s cached scores through the public ``score_items`` API.
+        Regression: a (length, last-item) fingerprint once let ``[3, 5]``
+        serve ``[4, 5]``'s cached scores through the public ``score_items`` API.
         """
 
         user = tiny_dataset.evaluation_users()[0]
@@ -601,7 +513,7 @@ class TestServingCacheIntegration:
     def test_explicit_embeddings_never_cross_validate(self, cached_sccf, tiny_dataset, rng):
         """Two different explicit query embeddings get distinct neighbor votes.
 
-        Regression: the neighbors-layer token ignored caller-supplied
+        Regression: a neighbors cache layer once ignored caller-supplied
         ``user_embeddings``, so a second query for the same user was served
         the first query's neighborhood.
         """
@@ -610,14 +522,14 @@ class TestServingCacheIntegration:
         user = tiny_dataset.evaluation_users()[0]
         e1 = component.user_embedding(user)[None, :]
         e2 = rng.normal(size=e1.shape)
-        component.score_for_users([user], user_embeddings=e1)  # primes nothing cacheable
+        first = component.score_for_users([user], user_embeddings=e1)
         second = component.score_for_users([user], user_embeddings=e2)
-        uncached = UserNeighborhoodComponent(
-            num_neighbors=component.num_neighbors, recency_window=component.recency_window
-        )
-        uncached.__dict__.update({**component.__dict__, "cache": None})
+        assert not np.array_equal(first, second)
         np.testing.assert_array_equal(
-            second, uncached.score_for_users([user], user_embeddings=e2)
+            second[0],
+            component.uu_scores(
+                e2[0], exclude_user=user, exclude_items=component.recent_items(user)
+            ),
         )
 
     def test_lru_bound_respected_end_to_end(self, tiny_dataset, trained_fism):
@@ -628,10 +540,11 @@ class TestServingCacheIntegration:
                 cache_capacity=4, seed=3,
             ),
         ).fit(tiny_dataset, fit_ui_model=False)
-        sccf.score_items_batch(list(range(12)))
-        for layer in sccf.cache.layers:
-            assert len(layer) <= 4
-        assert sccf.cache.scores.stats.evictions >= 8
+        server = RealTimeServer(sccf, tiny_dataset)
+        for user in range(12):
+            server.recommend(user, k=10)
+        assert len(sccf.cache) == 4
+        assert sccf.cache.recommendations.stats.evictions == 8
 
 
 # --------------------------------------------------------------------- #

@@ -295,6 +295,24 @@ class TestServerRoundTrip:
             assert restored.history(user) == saved_server.history(user)
             assert restored.recommend(user, k=10) == saved_server.recommend(user, k=10)
 
+    def test_snapshot_recording_max_score_bytes_still_restores(
+        self, saved_server, tiny_dataset, trained_fism, tmp_path, monkeypatch
+    ):
+        # older cache configs carry the byte budget of the retired scores layer
+        cache = saved_server.sccf.cache
+        assert cache.snapshot_config() == {"capacity": 32}
+        monkeypatch.setattr(
+            cache, "snapshot_config", lambda: {"capacity": 32, "max_score_bytes": None}
+        )
+        generation = saved_server.save_snapshot(tmp_path)
+        assert "max_score_bytes" in read_snapshot(generation).state["sccf"]["cache"]
+        restored = RealTimeServer.load_snapshot(
+            tmp_path, self._fresh_sccf(trained_fism), tiny_dataset
+        )
+        assert restored.sccf.cache.snapshot_config() == {"capacity": 32}
+        for user in tiny_dataset.evaluation_users()[:8]:
+            assert restored.recommend(user, k=10) == saved_server.recommend(user, k=10)
+
     def test_snapshot_epoch_matches_index(self, saved_server, tmp_path):
         generation = saved_server.save_snapshot(tmp_path)
         payload = read_snapshot(generation)

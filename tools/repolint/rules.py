@@ -325,9 +325,7 @@ def check_batch_of_one(module: Module, run: LintRun) -> Iterator[Hit]:
 # RL004 — degraded-not-cached
 # ---------------------------------------------------------------------- #
 
-_CACHE_RECEIVER_RE = re.compile(
-    r"cache|layer|recommendations|neighbors|scores|embeddings", re.I
-)
+_CACHE_RECEIVER_RE = re.compile(r"cache|layer|recommendations", re.I)
 _GUARD_RE = re.compile(r"degraded|cacheable", re.I)
 
 
@@ -355,69 +353,36 @@ def _guard_mentions(
 )
 def check_degraded_not_cached(module: Module, run: LintRun) -> Iterator[Hit]:
     for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        # serve_batch(...) without an explicit cacheable= decision
-        callee = (
-            func.id
-            if isinstance(func, ast.Name)
-            else func.attr
-            if isinstance(func, ast.Attribute)
-            else None
-        )
-        if callee == "serve_batch":
-            if not any(kw.arg == "cacheable" for kw in node.keywords):
-                yield (
-                    Finding(
-                        path=module.path,
-                        line=node.lineno,
-                        col=node.col_offset,
-                        code="RL004",
-                        message=(
-                            "serve_batch call without cacheable=; degraded "
-                            "results would be cached"
-                        ),
-                        fixit=(
-                            "pass cacheable=<guard> capturing whether this "
-                            "batch may be degraded (PR 6 invariant)"
-                        ),
-                    ),
-                    node,
-                )
-            continue
         # <cache layer>.put(...) outside a degraded/cacheable guard
-        if callee == "put" and isinstance(func, ast.Attribute):
-            receiver_src = _src(func.value)
-            if not _CACHE_RECEIVER_RE.search(receiver_src):
-                continue
-            enclosing = module.enclosing_function(node)
-            guarded = False
-            for anc in module.ancestors(node):
-                if isinstance(anc, ast.If) and _guard_mentions(
-                    module, enclosing, anc.test
-                ):
-                    guarded = True
-                    break
-            if not guarded:
-                yield (
-                    Finding(
-                        path=module.path,
-                        line=node.lineno,
-                        col=node.col_offset,
-                        code="RL004",
-                        message=(
-                            f"unguarded cache write {receiver_src}.put(...); "
-                            "a degraded result could be stored"
-                        ),
-                        fixit=(
-                            "dominate the put with an `if not degraded:` / "
-                            "cacheable check, or route it through "
-                            "serve_batch(cacheable=...)"
-                        ),
-                    ),
-                    node,
-                )
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "put"
+        ):
+            continue
+        receiver_src = _src(node.func.value)
+        if not _CACHE_RECEIVER_RE.search(receiver_src):
+            continue
+        enclosing = module.enclosing_function(node)
+        if any(
+            isinstance(anc, ast.If) and _guard_mentions(module, enclosing, anc.test)
+            for anc in module.ancestors(node)
+        ):
+            continue
+        yield (
+            Finding(
+                path=module.path,
+                line=node.lineno,
+                col=node.col_offset,
+                code="RL004",
+                message=(
+                    f"unguarded cache write {receiver_src}.put(...); "
+                    "a degraded result could be stored"
+                ),
+                fixit="dominate the put with an `if not degraded:` / cacheable check",
+            ),
+            node,
+        )
 
 
 # ---------------------------------------------------------------------- #
