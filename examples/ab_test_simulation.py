@@ -7,7 +7,7 @@ available:
 * a training period generates the interaction history both candidate
   generators learn from;
 * users are split into two buckets; bucket A is served by the baseline,
-  bucket B by SCCF wrapped around an identical baseline model (only the
+  bucket B by SCCF wrapped around that same trained baseline (only the
   candidate-generation module differs, as in the paper);
 * for each day of the test week the simulated users examine the served
   candidates and click/purchase according to their ground-truth, drifting,
@@ -44,17 +44,17 @@ def main() -> None:
     )
     harness = ABTestHarness(clickstream, ab_config)
 
-    print("simulating the training period and fitting both candidate generators ...")
+    print("simulating the training period and fitting the baseline candidate generator ...")
     dataset, simulator = harness.build_training_dataset()
     print("training dataset:", dataset.statistics().as_row())
 
     baseline = YouTubeDNN(embedding_dim=32, num_epochs=5, seed=0)
     baseline.fit(dataset)
 
-    treatment_ui = YouTubeDNN(embedding_dim=32, num_epochs=5, seed=0)
-    treatment_ui.fit(dataset)
+    # SCCF wraps the trained baseline itself, so the buckets differ only by
+    # the user-based component and the integrating re-ranker
     treatment = SCCF(
-        treatment_ui,
+        baseline,
         SCCFConfig(num_neighbors=30, candidate_list_size=50, seed=0),
     )
     treatment.fit(dataset, fit_ui_model=False)

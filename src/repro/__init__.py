@@ -9,7 +9,7 @@ for convenience; see the subpackages for the full surface:
 * :mod:`repro.ann` — exact and approximate user-neighbor search
 * :mod:`repro.models` — Pop, ItemKNN, UserKNN, BPR-MF, FISM, SASRec, YouTubeDNN
 * :mod:`repro.core` — the SCCF framework (the paper's contribution)
-* :mod:`repro.eval` — HR/NDCG metrics, leave-one-out evaluator, timing
+* :mod:`repro.eval` — HR/NDCG metrics and the leave-one-out evaluator
 * :mod:`repro.analysis` — Figure 1 / Figure 4 analyses
 * :mod:`repro.simulation` — clickstream simulator and A/B test harness
 * :mod:`repro.experiments` — per-table/figure experiment runners

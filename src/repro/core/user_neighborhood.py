@@ -16,10 +16,11 @@ full profile; the window is configurable.
 No parameters are learned here — the component is a pure function of the UI
 model's embeddings, which is what makes it a drop-in, real-time plugin.
 
-Implementation: the recent-items table is kept both as per-user lists (the
-mutable source of truth for real-time updates) and as a CSR-style pair of
-``(indptr, indices)`` arrays over users.  Eq. 12 for a whole block of users
-then reduces to one gather plus one row-offset ``bincount`` — a
+Implementation: the recent-items table is one dense ``int64`` array of shape
+``(num_users, recency_window)``.  Row ``u`` holds user ``u``'s in-catalogue
+recent items, oldest first, padded with ``-1``; a real-time update rewrites
+one row in place.  Eq. 12 for a whole block of users then reduces to one
+gather of the voting neighbors' rows plus one row-offset ``bincount`` — a
 sparse-matrix/dense-matrix product — instead of a Python loop over users,
 neighbors and recent items, and :meth:`score_for_users` amortizes
 neighborhood identification across the batch through the index's
@@ -136,14 +137,9 @@ class UserNeighborhoodComponent:
         self.num_users: int = 0
         self.num_items: int = 0
         self._user_embeddings: Optional[np.ndarray] = None
-        self._recent_items: Dict[int, List[int]] = {}
-        self._recent_indptr: Optional[np.ndarray] = None
-        self._recent_indices: Optional[np.ndarray] = None
-        self._recent_dirty = True
-        # Users whose recent list changed since the last full CSR build; their
-        # rows are overlaid at scoring time so a real-time update stream never
-        # pays an O(num_users) rebuild per event.
-        self._recent_overrides: Dict[int, np.ndarray] = {}
+        # The recent-items table behind eq. 12: row u is user u's in-catalogue
+        # recent items, oldest first, padded with -1.
+        self._recent = np.full((0, recency_window), -1, dtype=np.int64)
         # Per-user embedding version counters: bumped by update_users/add_users
         # (and therefore by every RealTimeServer.observe), so serving caches
         # can validate anything derived from a user's state in O(1).
@@ -182,11 +178,8 @@ class UserNeighborhoodComponent:
 
         sequences = [list(base_histories.get(user, [])) for user in range(self.num_users)]
         embeddings = np.asarray(ui_model.infer_user_embeddings_batch(sequences), dtype=np.float64)
-        self._recent_items = {
-            user: recent_window(sequence, self.recency_window) if sequence else []
-            for user, sequence in enumerate(sequences)
-        }
-        self._recent_dirty = True
+        self._recent = np.full((self.num_users, self.recency_window), -1, dtype=np.int64)
+        self._set_recent_items(range(self.num_users), sequences)
         self._user_embeddings = embeddings
         self.index.build(embeddings)
         # A re-fit changes every user's embedding under reset version
@@ -212,35 +205,6 @@ class UserNeighborhoodComponent:
         if not self._fitted or self._user_embeddings is None:
             raise RuntimeError("UserNeighborhoodComponent has not been fitted")
 
-    def _ensure_recent_csr(self) -> None:
-        """(Re)build the CSR view of the recent-items table when stale.
-
-        Single-user updates do not mark the table stale — they land in
-        ``_recent_overrides`` (consulted at scoring time) until enough of them
-        accumulate to be worth folding into a fresh CSR build.
-        """
-
-        if not self._recent_dirty and self._recent_indptr is not None:
-            return
-        counts = np.zeros(self.num_users, dtype=np.int64)
-        chunks: List[List[int]] = []
-        for user in range(self.num_users):
-            items = [
-                item for item in self._recent_items.get(user, []) if 0 <= item < self.num_items
-            ]
-            counts[user] = len(items)
-            if items:
-                chunks.append(items)
-        self._recent_indptr = np.zeros(self.num_users + 1, dtype=np.int64)
-        np.cumsum(counts, out=self._recent_indptr[1:])
-        self._recent_indices = (
-            np.concatenate([np.asarray(chunk, dtype=np.int64) for chunk in chunks])
-            if chunks
-            else np.empty(0, dtype=np.int64)
-        )
-        self._recent_overrides = {}
-        self._recent_dirty = False
-
     # ------------------------------------------------------------------ #
     # neighborhood identification (eq. 11)
     # ------------------------------------------------------------------ #
@@ -253,12 +217,9 @@ class UserNeighborhoodComponent:
 
         self._require_fitted()
         exclude = np.asarray([exclude_user], dtype=np.int64) if exclude_user is not None else None
-        ids, similarities = self.index.search(
-            np.asarray(user_embedding, dtype=np.float64),
-            k=self.num_neighbors,
-            exclude=exclude,
+        return self.index.search(
+            np.asarray(user_embedding, dtype=np.float64), k=self.num_neighbors, exclude=exclude
         )
-        return ids, similarities
 
     # ------------------------------------------------------------------ #
     # local scoring (eq. 12)
@@ -270,13 +231,11 @@ class UserNeighborhoodComponent:
     ) -> np.ndarray:
         """Eq. (12) for each ``(neighbor_ids, similarities)`` row, ``exclusions[r]`` zeroed.
 
-        Positive similarities vote: neighbors in ``_recent_overrides`` first,
-        one ``np.add.at`` each, then the rest of a ``_ROW_BLOCK`` of rows in one
+        Positive similarities vote, a ``_ROW_BLOCK`` of rows in one
         ``bincount`` over row-offset item ids, so every score sums in the
         order of a per-row product.
         """
 
-        self._ensure_recent_csr()
         scores = np.zeros((len(neighborhoods), self.num_items), dtype=np.float64)
         for start in range(0, len(neighborhoods), _ROW_BLOCK):
             block = slice(start, start + _ROW_BLOCK)
@@ -298,30 +257,13 @@ class UserNeighborhoodComponent:
             np.arange(len(neighborhoods)) * self.num_items, [len(ids) for ids, _ in neighborhoods]
         )
         voting = weights > 0
-        if self._recent_overrides:
-            overridden = np.fromiter(
-                (int(user) in self._recent_overrides for user in neighbor_ids),
-                dtype=bool,
-                count=len(neighbor_ids),
-            )
-            flat = out.reshape(-1)
-            for j in np.flatnonzero(voting & overridden):
-                items = self._recent_overrides[int(neighbor_ids[j])]
-                if len(items):
-                    np.add.at(flat, offsets[j] + items, weights[j])
-            voting &= ~overridden
-        neighbor_ids, weights, offsets = neighbor_ids[voting], weights[voting], offsets[voting]
-        starts = self._recent_indptr[neighbor_ids]
-        counts = self._recent_indptr[neighbor_ids + 1] - starts
-        ends = np.cumsum(counts)
-        if not len(ends) or not ends[-1]:
-            return
-        # vote v is cast by neighbor voter[v]: its recent item number v - (ends - counts)[voter]
-        voter = np.repeat(np.arange(len(counts)), counts)
-        items = self._recent_indices[np.arange(ends[-1]) + (starts + counts - ends)[voter]]
-        out += np.bincount(
-            items + offsets[voter], weights=weights[voter], minlength=out.size
-        ).reshape(out.shape)
+        # one row of recent items per voting neighbor; row-major order casts
+        # the votes neighbor by neighbor, then slot by slot
+        items = self._recent[neighbor_ids[voting]]
+        cast = items >= 0
+        cells = (items + offsets[voting][:, None])[cast]
+        votes = np.broadcast_to(weights[voting][:, None], items.shape)[cast]
+        out += np.bincount(cells, weights=votes, minlength=out.size).reshape(out.shape)
 
     def uu_scores(
         self,
@@ -387,7 +329,7 @@ class UserNeighborhoodComponent:
         exclusions = [
             histories[row]
             if histories is not None and histories[row] is not None
-            else self._recent_items.get(user, [])
+            else self.recent_items(user)
             for row, user in enumerate(user_ids)
         ]
         return self._votes(neighborhoods, exclusions)
@@ -423,7 +365,7 @@ class UserNeighborhoodComponent:
 
         One ``infer_user_embeddings_batch`` forward (skipped when the caller
         passes precomputed ``embeddings``), one batched index row replacement,
-        and a bulk recent-item overlay.  Returns the ``(U, dim)`` embeddings.
+        and one rewritten recent-items row per user.  Returns the ``(U, dim)`` embeddings.
         With duplicate user ids the last entry wins.
         """
 
@@ -496,6 +438,9 @@ class UserNeighborhoodComponent:
             if self._mutation_journal is not None:
                 self._mutation_journal.append(("build", self._user_embeddings.copy(), None))
         self.num_users = len(self._user_embeddings)
+        self._recent = np.concatenate(
+            [self._recent, np.full((len(block), self.recency_window), -1, dtype=np.int64)]
+        )
         self._set_recent_items(user_ids, histories)
         self._bump_versions(user_ids)
         return embeddings
@@ -520,24 +465,18 @@ class UserNeighborhoodComponent:
             raise ValueError("embeddings must have one row of width dim per user id")
         return embeddings
 
-    def _set_recent_items(self, user_ids: Sequence[int], histories: Sequence[Sequence[int]]) -> None:
-        """Refresh the recent-items table for a batch of users.
-
-        Rows land in ``_recent_overrides`` (consulted at scoring time) instead
-        of invalidating the whole CSR; the overlays are folded into a full
-        rebuild only once they pile up — same policy as the original
-        single-user path, applied per user in order.
-        """
+    def _set_recent_items(self, user_ids: Iterable[int], histories: Sequence[Sequence[int]]) -> None:
+        """Rewrite each user's row of the recent-items table; with duplicate ids the last wins."""
 
         for user, history in zip(user_ids, histories):
-            recent = recent_window(list(history), self.recency_window)
-            self._recent_items[user] = recent
-            if not self._recent_dirty:
-                self._recent_overrides[user] = np.asarray(
-                    [item for item in recent if 0 <= item < self.num_items], dtype=np.int64
-                )
-                if len(self._recent_overrides) > max(64, self.num_users // 20):
-                    self._recent_dirty = True
+            recent = [
+                item
+                for item in recent_window(list(history), self.recency_window)
+                if 0 <= item < self.num_items
+            ]
+            row = self._recent[user]
+            row[:] = -1
+            row[: len(recent)] = recent
 
     # ------------------------------------------------------------------ #
     # blue-green maintenance: mutation journal + snapshot persistence
@@ -587,21 +526,14 @@ class UserNeighborhoodComponent:
     def snapshot_state(self) -> Dict[str, object]:
         """Serializable state tree for :mod:`repro.core.snapshot`.
 
-        Recent-item lists and version counters are packed into flat arrays
-        (users / offsets / values) so the snapshot stays JSON + ``.npy``.
+        The recent-items table and version counters are packed into flat
+        arrays (users / offsets / values) so the snapshot stays JSON + ``.npy``.
         """
 
         self._require_fitted()
-        recent_users = sorted(self._recent_items)
-        recent_offsets = np.zeros(len(recent_users) + 1, dtype=np.int64)
-        chunks: List[np.ndarray] = []
-        for row, user in enumerate(recent_users):
-            items = np.asarray(self._recent_items[user], dtype=np.int64)
-            recent_offsets[row + 1] = recent_offsets[row] + len(items)
-            chunks.append(items)
-        recent_values = (
-            np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-        )
+        cast = self._recent >= 0
+        recent_offsets = np.zeros(self.num_users + 1, dtype=np.int64)
+        np.cumsum(cast.sum(axis=1), out=recent_offsets[1:])
         version_users = sorted(self._user_versions)
         return {
             "meta": {
@@ -613,9 +545,9 @@ class UserNeighborhoodComponent:
             },
             "arrays": {
                 "user_embeddings": self._user_embeddings,
-                "recent_users": np.asarray(recent_users, dtype=np.int64),
+                "recent_users": np.arange(self.num_users, dtype=np.int64),
                 "recent_offsets": recent_offsets,
-                "recent_values": recent_values,
+                "recent_values": self._recent[cast],
                 "version_users": np.asarray(version_users, dtype=np.int64),
                 "version_values": np.asarray(
                     [self._user_versions[user] for user in version_users], dtype=np.int64
@@ -642,20 +574,18 @@ class UserNeighborhoodComponent:
         self.max_user_growth = int(meta["max_user_growth"])
         self.num_users = int(meta["num_users"])
         self.num_items = int(meta["num_items"])
-        self._user_embeddings = np.asarray(
-            arrays["user_embeddings"], dtype=np.float64
-        ).copy()
+        self._user_embeddings = np.asarray(arrays["user_embeddings"], dtype=np.float64).copy()
         recent_users = np.asarray(arrays["recent_users"], dtype=np.int64)
         recent_offsets = np.asarray(arrays["recent_offsets"], dtype=np.int64)
         recent_values = np.asarray(arrays["recent_values"], dtype=np.int64)
-        self._recent_items = {
-            int(user): recent_values[recent_offsets[row] : recent_offsets[row + 1]].tolist()
-            for row, user in enumerate(recent_users)
-        }
-        self._recent_indptr = None
-        self._recent_indices = None
-        self._recent_dirty = True
-        self._recent_overrides = {}
+        # Older snapshots list only users with a window, and keep ids outside
+        # the catalogue: drop those, then shift each user's items to the left.
+        counts = np.diff(recent_offsets)
+        kept = (recent_values >= 0) & (recent_values < self.num_items)
+        kept_before = np.concatenate([[0], np.cumsum(kept)])
+        slots = kept_before[1:] - np.repeat(kept_before[recent_offsets[:-1]], counts) - 1
+        self._recent = np.full((self.num_users, self.recency_window), -1, dtype=np.int64)
+        self._recent[np.repeat(recent_users, counts)[kept], slots[kept]] = recent_values[kept]
         self._user_versions = {
             int(user): int(version)
             for user, version in zip(arrays["version_users"], arrays["version_values"])
@@ -670,6 +600,9 @@ class UserNeighborhoodComponent:
         return self._user_embeddings[user_id].copy()
 
     def recent_items(self, user_id: int) -> List[int]:
-        """Items this user currently contributes to her neighbors' candidates."""
+        """In-catalogue items this user currently contributes to her neighbors' candidates, oldest first."""
 
-        return list(self._recent_items.get(user_id, []))
+        if not 0 <= user_id < len(self._recent):
+            return []
+        row = self._recent[user_id]
+        return row[row >= 0].tolist()

@@ -1,10 +1,9 @@
-"""Evaluation: ranking metrics, leave-one-out evaluator, latency measurement."""
+"""Evaluation: ranking metrics and the leave-one-out evaluator."""
 
 from __future__ import annotations
 
 from .evaluator import EvaluationResult, Evaluator
 from .metrics import RankingMetrics, aggregate_ranks, hit_ratio_at_k, ndcg_at_k, rank_of_target
-from .timing import Stopwatch, TimingResult, time_callable
 
 __all__ = [
     "Evaluator",
@@ -14,7 +13,4 @@ __all__ = [
     "hit_ratio_at_k",
     "ndcg_at_k",
     "aggregate_ranks",
-    "TimingResult",
-    "time_callable",
-    "Stopwatch",
 ]

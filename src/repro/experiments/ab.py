@@ -52,10 +52,8 @@ def run_table5(
     # The treatment reuses the already-trained baseline as its UI component:
     # SCCF is a post-processing plugin, so bucket B differs only by the
     # user-based component and the integrating re-ranker.
-    treatment_ui = YouTubeDNN(embedding_dim=embedding_dim, num_epochs=baseline_epochs, seed=seed)
-    treatment_ui.fit(dataset)
     treatment = SCCF(
-        treatment_ui,
+        baseline,
         SCCFConfig(
             num_neighbors=num_neighbors,
             candidate_list_size=max(candidate_set_size, 50),

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from .ab_test import ABTestConfig, ABTestHarness, ABTestResult, BucketOutcome
-from .clickstream import ClickstreamConfig, ClickstreamSimulator, replay_log, simulate_clickstream
+from .clickstream import ClickstreamConfig, ClickstreamSimulator, simulate_clickstream
 
 __all__ = [
     "ClickstreamConfig",
     "ClickstreamSimulator",
     "simulate_clickstream",
-    "replay_log",
     "ABTestConfig",
     "ABTestHarness",
     "ABTestResult",

@@ -17,7 +17,7 @@ clicked or purchased.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "ClickstreamConfig",
     "ClickstreamSimulator",
     "simulate_clickstream",
-    "replay_log",
 ]
 
 
@@ -184,34 +183,3 @@ def simulate_clickstream(config: Optional[ClickstreamConfig] = None) -> Interact
 
     simulator = ClickstreamSimulator(config or ClickstreamConfig())
     return simulator.simulate()
-
-
-def replay_log(log: InteractionLog, server: Any, flush_size: int = 256) -> List:
-    """Replay a simulated clickstream through a server in micro-batches.
-
-    Streams ``log``'s events in timestamp order through an
-    :class:`~repro.core.realtime.EventBuffer` in front of ``server`` (a
-    :class:`~repro.core.realtime.RealTimeServer`), flushing every
-    ``flush_size`` events plus one final flush for the tail.  Events whose
-    item ids fall outside the server's catalog are skipped (a fresh log can
-    mention items the fitted model never saw).  Returns the list of
-    per-flush :class:`~repro.core.realtime.LatencyBreakdown` records.
-    """
-
-    from ..core.realtime import EventBuffer
-
-    breakdowns = []
-    order = np.argsort(log.timestamps, kind="stable")
-    users, items = log.users, log.items
-    with EventBuffer(server, flush_size=flush_size) as buffer:
-        for position in order:
-            item = int(items[position])
-            if not 0 <= item < server.num_items:
-                continue
-            flushed = buffer.push(int(users[position]), item)
-            if flushed is not None:
-                breakdowns.append(flushed)
-        final = buffer.flush()
-        if final is not None:
-            breakdowns.append(final)
-    return breakdowns

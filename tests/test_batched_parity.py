@@ -172,23 +172,21 @@ class TestNeighborhoodBatchParity:
             )
 
     def test_scores_correct_after_realtime_update(self, tiny_dataset, trained_fism):
-        """Single-user updates overlay the CSR instead of invalidating it;
-        scoring must still see the fresh recent items immediately."""
+        """A single-user update rewrites that user's row of the recent-items
+        table; scoring must see the fresh recent items immediately."""
 
         component = UserNeighborhoodComponent(num_neighbors=8, recency_window=3).fit(
             trained_fism, tiny_dataset
         )
-        component._ensure_recent_csr()
         users = tiny_dataset.evaluation_users()[:4]
         for user in users:
             component.update_user(
                 user, trained_fism, tiny_dataset.train.user_sequence(user) + [0, 1]
             )
-        assert component._recent_overrides  # overlay path active, no full rebuild
         for user in users:
             embedding = component.user_embedding(user)
             scores = component.uu_scores(embedding, exclude_user=user)
-            # manual eq. (12) from the authoritative per-user dict
+            # manual eq. (12) from each neighbor's public recent items
             ids, sims = component.neighbors(embedding, exclude_user=user)
             expected = np.zeros(tiny_dataset.num_items)
             for neighbor, similarity in zip(ids, sims):
@@ -198,7 +196,7 @@ class TestNeighborhoodBatchParity:
                     if 0 <= item < tiny_dataset.num_items:
                         expected[item] += similarity
             np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-9)
-        # batched path agrees with the single path under the overlay too
+        # batched path agrees with the single path after the updates too
         batched = component.score_for_users(users)
         for row, user in enumerate(users):
             single = component.score_for_user(user, component.user_embedding(user))

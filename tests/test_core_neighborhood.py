@@ -184,3 +184,66 @@ class TestAlternativeIndex:
         user = tiny_dataset.evaluation_users()[0]
         ids, _ = component.neighbors(component.user_embedding(user), exclude_user=user)
         assert len(ids) > 0
+
+
+class TestRecentItemsTable:
+    """Eq. 12 reads one dense (users × window) table; each write must leave it exact."""
+
+    def _lone_voter(self, tiny_dataset, trained_fism, recency_window=5):
+        """A component where a query equal to a unique embedding has exactly one neighbor: its owner."""
+
+        component = UserNeighborhoodComponent(num_neighbors=1, recency_window=recency_window).fit(
+            trained_fism, tiny_dataset
+        )
+        rng = np.random.default_rng(17)
+        return component, rng.standard_normal((2, trained_fism.embedding_dim))
+
+    def test_shorter_history_leaves_no_stale_slot(self, tiny_dataset, trained_fism):
+        component, vectors = self._lone_voter(tiny_dataset, trained_fism)
+        user = int(tiny_dataset.evaluation_users()[0])
+        component.update_users([user], trained_fism, [[1, 2, 3, 4, 5]], embeddings=vectors[:1])
+        component.update_users([user], trained_fism, [[6]], embeddings=vectors[:1])
+        assert component.recent_items(user) == [6]
+        [scores] = component.score_for_users([user + 1], user_embeddings=vectors[:1], histories=[[]])
+        assert np.flatnonzero(scores).tolist() == [6]
+
+    def test_cold_start_user_votes_to_neighbors(self, tiny_dataset, trained_fism):
+        component, vectors = self._lone_voter(tiny_dataset, trained_fism)
+        base = component.num_users
+        component.add_users([base, base + 2], trained_fism, [[3, 4], [7]], embeddings=vectors)
+        assert component.recent_items(base + 1) == []  # the gap user
+        scores = component.score_for_users([0, 0], user_embeddings=vectors, histories=[[], []])
+        assert np.flatnonzero(scores[0]).tolist() == [3, 4]
+        assert np.flatnonzero(scores[1]).tolist() == [7]
+
+    def test_older_sparse_snapshot_layout_restores(self, tiny_dataset, trained_fism):
+        """Older snapshots list only users with a window, and keep ids outside the catalogue."""
+
+        component = UserNeighborhoodComponent(num_neighbors=6, recency_window=3).fit(
+            trained_fism, tiny_dataset
+        )
+        base, num_items = component.num_users, component.num_items
+        component.add_users([base, base + 2], trained_fism, [[0, 1], [2, -1, num_items + 5]])
+        updated = [int(user) for user in tiny_dataset.evaluation_users()[:3]]
+        histories = [[4, num_items, 5], [-3, 6, 6, 7], []]
+        component.update_users(updated, trained_fism, histories)
+        raw = {user: component.recent_items(user) for user in range(component.num_users)}
+        raw.update({user: history[-3:] for user, history in zip(updated, histories)})
+        raw[base + 2] = [2, -1, num_items + 5]
+        listed = sorted(user for user, window in raw.items() if window)
+        assert base + 1 not in listed and updated[2] not in listed
+
+        state = component.snapshot_state()
+        state["arrays"]["recent_users"] = np.asarray(listed, dtype=np.int64)
+        state["arrays"]["recent_offsets"] = np.cumsum([0] + [len(raw[user]) for user in listed])
+        state["arrays"]["recent_values"] = np.asarray(
+            [item for user in listed for item in raw[user]], dtype=np.int64
+        )
+        restored = UserNeighborhoodComponent()
+        restored.restore_snapshot_state(state)
+        for user in range(component.num_users):
+            assert restored.recent_items(user) == component.recent_items(user)
+        assert restored.recent_items(updated[0]) == [4, 5]
+        assert restored.recent_items(base + 2) == [2]
+        users = list(range(component.num_users))
+        np.testing.assert_array_equal(restored.score_for_users(users), component.score_for_users(users))

@@ -1,4 +1,4 @@
-"""Tests for ranking metrics, the leave-one-out evaluator and timing helpers."""
+"""Tests for ranking metrics and the leave-one-out evaluator."""
 
 from __future__ import annotations
 
@@ -11,12 +11,10 @@ from repro.data import InteractionLog, RecDataset
 from repro.eval import (
     Evaluator,
     RankingMetrics,
-    Stopwatch,
     aggregate_ranks,
     hit_ratio_at_k,
     ndcg_at_k,
     rank_of_target,
-    time_callable,
 )
 from repro.models import Popularity
 
@@ -155,33 +153,3 @@ class TestEvaluator:
         row = result.as_row()
         assert row["model"] == "Popularity"
         assert "HR@10" in row
-
-
-class TestTiming:
-    def test_time_callable_statistics(self):
-        result = time_callable(lambda: sum(range(1000)), repetitions=5, warmup=1, label="sum")
-        assert result.label == "sum"
-        assert len(result.samples_ms) == 5
-        assert result.mean_ms >= 0
-        assert result.p95_ms >= result.median_ms or result.p95_ms >= 0
-        assert result.as_row()["samples"] == 5
-
-    def test_time_callable_validation(self):
-        with pytest.raises(ValueError):
-            time_callable(lambda: None, repetitions=0)
-        with pytest.raises(ValueError):
-            time_callable(lambda: None, warmup=-1)
-
-    def test_stopwatch_accumulates(self):
-        watch = Stopwatch()
-        watch.record("a", 1.0)
-        watch.record("a", 3.0)
-        value = watch.time("b", lambda: 42)
-        assert value == 42
-        assert watch.result("a").mean_ms == pytest.approx(2.0)
-        assert set(watch.labels()) == {"a", "b"}
-        assert "b" in watch.summary()
-
-    def test_stopwatch_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Stopwatch().record("a", -1.0)

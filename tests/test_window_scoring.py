@@ -73,28 +73,13 @@ def reference_votes(
     similarities: np.ndarray,
     exclude_items: Sequence[int],
 ) -> np.ndarray:
-    """Eq. 12 for one user: a gather and a ``bincount`` over her own neighbors."""
+    """Eq. 12 for one user: each positive neighbor adds its weight to its recent items in turn."""
 
-    positive = similarities > 0
-    neighbor_ids = np.asarray(neighbor_ids, dtype=np.int64)[positive]
-    weights = np.asarray(similarities, dtype=np.float64)[positive]
     scores = np.zeros(component.num_items, dtype=np.float64)
-    if len(neighbor_ids):
-        overrides = component._recent_overrides
-        overridden = np.asarray([int(user) in overrides for user in neighbor_ids], dtype=bool)
-        for user, weight in zip(neighbor_ids[overridden], weights[overridden]):
-            if len(overrides[int(user)]):
-                np.add.at(scores, overrides[int(user)], weight)
-        neighbor_ids, weights = neighbor_ids[~overridden], weights[~overridden]
-        indptr, indices = component._recent_indptr, component._recent_indices
-        voted = [indices[indptr[user] : indptr[user + 1]] for user in neighbor_ids]
-        counts = [len(items) for items in voted]
-        if sum(counts):
-            scores += np.bincount(
-                np.concatenate(voted),
-                weights=np.repeat(weights, counts),
-                minlength=component.num_items,
-            )
+    for neighbor, weight in zip(neighbor_ids, similarities):
+        if weight > 0:
+            for item in component.recent_items(int(neighbor)):
+                scores[item] += weight
     inside = [item for item in exclude_items if 0 <= item < len(scores)]
     if inside:
         scores[np.asarray(inside, dtype=np.int64)] = 0.0
@@ -238,17 +223,14 @@ class TestNeighborVotes:
         for row in np.flatnonzero(rng.random(rows) < 0.2):
             histories[row] = None  # falls back to the user's recent items
         _assert_votes_match(component, users, queries, histories)
-        assert not component._recent_overrides
 
-        # real-time updates land in _recent_overrides, whose neighbors vote
-        # through np.add.at before the block's bincount; most users, on a
+        # real-time updates rewrite table rows in place; most users, on a
         # handful of items, so their votes pile up on the same cells
         updated = [int(user) for user in rng.choice(component.num_users, size=40, replace=False)]
         fresh = [[int(item) for item in rng.integers(0, 6, size=rng.integers(0, 9))] for _ in updated]
         component.update_users(
             updated, trained_fism, fresh, embeddings=_ternary(rng, len(updated), trained_fism.embedding_dim)
         )
-        assert component._recent_overrides
         _assert_votes_match(component, users, queries, histories)
 
     def test_single_user_wrappers_are_the_batch_row(self, tiny_dataset, trained_fism):
